@@ -477,12 +477,8 @@ let par_scaling () =
   (* A compute-bound kernel, so the curve shows parallel scaling rather
      than memory bandwidth. *)
   let kernel x = I.(Expr.Prim1 (Prim.Sqrt, x) *. Expr.Prim1 (Prim.Sin, x)) in
-  let build part =
-    Query.of_array Ty.Float part
-    |> Query.select (fun x -> kernel x)
-    |> Query.sum_float
-  in
-  let p = Steno.prepare_scalar ~backend:Steno.Native (build xs) in
+  let build src = src |> Query.select (fun x -> kernel x) |> Query.sum_float in
+  let p = Steno.prepare_scalar ~backend:Steno.Native (build (Query.of_array Ty.Float xs)) in
   let t_seq = time_ms (fun () -> Steno.Prepared_scalar.run p) in
   row "sequential Steno: %8.1f ms over %d doubles\n" t_seq n;
   row "available cores: %d%s\n"
@@ -498,7 +494,8 @@ let par_scaling () =
       let parts = Par.partition ~parts:workers xs in
       let t =
         time_ms (fun () ->
-            Par.scalar_per_partition ~backend:Steno.Native ~workers build
+            Par.scalar_per_partition ~backend:Steno.Native ~workers
+              (fun v -> build (Par.of_view Ty.Float v))
               ~combine:( +. ) parts)
       in
       row "%8d %12.1f %8.2fx\n" workers t (t_seq /. t))
@@ -507,8 +504,21 @@ let par_scaling () =
 
 (* PR 5: partitioned partial aggregation [Agg_i / Agg-star] vs
    sequential on a filtered Average — the decomposed (sum, count) pair
-   path through Par.scalar_auto, not the same-typed split_scalar legacy
-   path. *)
+   path of Par.decompose, taken apart: partitioning, the per-partition
+   runs, the Agg* merge (its "agg-merge" spans), and the words the Agg_i
+   inject loop allocates per row on one domain (Gc.minor_words). *)
+type par_agg = {
+  pa_rows : int;
+  pa_workers : int;
+  pa_cores : int;
+  seq_ms : float;
+  par_ms : float;  (** partition + run *)
+  partition_ms : float;
+  run_ms : float;
+  merge_ms : float;
+  inject_words_per_row : float;
+}
+
 let par_agg_measurements () =
   let n = scaled 10_000_000 in
   let xs = uniform_floats n in
@@ -520,50 +530,67 @@ let par_agg_measurements () =
   let cores = Domain.recommended_domain_count () in
   let workers = max 4 cores in
   let backend = if native then Steno.Native else Steno.Fused in
-  let p = Steno.prepare_scalar ~backend sq in
+  let spans = Telemetry.Collector.create () in
+  let eng =
+    Steno.Engine.create
+      { Steno.Engine.default_config with backend; telemetry = Telemetry.Collector.sink spans }
+  in
+  let p = Steno.Engine.prepare_scalar eng sq in
   let seq_ms = time_ms (fun () -> Steno.Prepared_scalar.run p) in
-  (* Warm once so the shared per-partition plan is compiled and cached
-     before timing (partitions differ only in the captured source, so
-     all of them hit the same plugin). *)
-  ignore (Par.scalar_auto ~backend ~workers ~parts:workers sq);
-  let par_ms =
-    time_ms (fun () -> Par.scalar_auto ~backend ~workers ~parts:workers sq)
-  in
-  let speedup = seq_ms /. par_ms in
-  let meets_target = speedup >= 1.5 in
-  let explanation =
-    if meets_target then ""
-    else if cores <= 1 then
-      Printf.sprintf
-        "host exposes %d core: the %d worker domains time-slice one CPU, so \
-         partitioned execution can at best match sequential time plus \
-         domain-scheduling overhead; the 1.5x target needs >= 2 physical cores"
-        cores workers
-    else
-      Printf.sprintf
-        "%d cores available but speedup %.2fx < 1.5x: the filtered Average is \
-         memory-bandwidth-bound at this scale"
-        cores speedup
-  in
-  (n, workers, cores, seq_ms, par_ms, speedup, meets_target, explanation)
+  match Par.decompose sq with
+  | None -> failwith "par-agg: the filtered Average must decompose"
+  | Some (Par.Decomposed { source; decomp; _ }) ->
+    let partition_ms = time_ms (fun () -> Par.partition ~parts:workers source) in
+    let parts = Par.partition ~parts:workers source in
+    (* Warm once so the shared per-partition plan is compiled and cached
+       before timing (partitions differ only in captured values, so all
+       of them hit the same plugin). *)
+    ignore (Par.run_decomposed ~engine:eng ~workers decomp parts);
+    Telemetry.Collector.reset spans;
+    let runs = 3 in
+    let run_ms = time_ms ~runs (fun () -> Par.run_decomposed ~engine:eng ~workers decomp parts) in
+    let merge_ms = Telemetry.Collector.total_ms spans "agg-merge" /. float_of_int runs in
+    let inject = Steno.Engine.prepare_scalar eng (decomp.Par.inject parts.(0)) in
+    ignore (Steno.Prepared_scalar.run inject);
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Steno.Prepared_scalar.run inject));
+    let words = Gc.minor_words () -. w0 in
+    {
+      pa_rows = n;
+      pa_workers = workers;
+      pa_cores = cores;
+      seq_ms;
+      par_ms = partition_ms +. run_ms;
+      partition_ms;
+      run_ms;
+      merge_ms;
+      inject_words_per_row = words /. float_of_int (max 1 parts.(0).Par.len);
+    }
+
+let speedup m = m.seq_ms /. m.par_ms
+
+(* Where the partitioned time goes, measured rather than presumed. *)
+let breakdown m =
+  Printf.sprintf
+    "partition %.3f ms + runs %.2f ms (of which Agg* merge %.3f ms); the Agg_i \
+     inject loop allocates %.4f words/row%s"
+    m.partition_ms m.run_ms m.merge_ms m.inject_words_per_row
+    (if m.pa_cores <= 1 then
+       Printf.sprintf "; %d worker domains time-slice %d core" m.pa_workers m.pa_cores
+     else "")
 
 let par_agg () =
   header "PR 5: partitioned vs sequential filtered Average (Agg_i / Agg*)";
-  let n, workers, cores, seq_ms, par_ms, speedup, meets_target, explanation =
-    par_agg_measurements ()
-  in
-  row "filtered Average over %d doubles, %d workers on %d core(s)\n" n workers
-    cores;
-  row "sequential:  %10.1f ms\n" seq_ms;
-  row "partitioned: %10.1f ms   (%.2fx)\n" par_ms speedup;
-  row "meets 1.5x target: %b%s\n" meets_target
-    (if explanation = "" then "" else "\n  " ^ explanation)
+  let m = par_agg_measurements () in
+  row "filtered Average over %d doubles, %d workers on %d core(s)\n" m.pa_rows
+    m.pa_workers m.pa_cores;
+  row "sequential:  %10.1f ms\n" m.seq_ms;
+  row "partitioned: %10.1f ms   (%.2fx)\n" m.par_ms (speedup m);
+  row "meets 1.5x target: %b\n  %s\n" (speedup m >= 1.5) (breakdown m)
 
 let json_par_report file =
   header (Printf.sprintf "partial-aggregation JSON report -> %s" file);
-  let n, workers, cores, seq_ms, par_ms, speedup, meets_target, explanation =
-    par_agg_measurements ()
-  in
+  let m = par_agg_measurements () in
   let oc =
     try open_out file
     with Sys_error msg ->
@@ -583,14 +610,19 @@ let json_par_report file =
   "par_ms": %.3f,
   "speedup": %.3f,
   "meets_target": %b,
-  "explanation": %S
+  "partition_ms": %.4f,
+  "run_ms": %.3f,
+  "merge_ms": %.4f,
+  "inject_words_per_row": %.6f,
+  "breakdown": %S
 }
 |}
-    n !scale native workers cores seq_ms par_ms speedup meets_target
-    explanation;
+    m.pa_rows !scale native m.pa_workers m.pa_cores m.seq_ms m.par_ms (speedup m)
+    (speedup m >= 1.5) m.partition_ms m.run_ms m.merge_ms m.inject_words_per_row
+    (breakdown m);
   close_out oc;
   row "rows = %d, %d workers / %d core(s): seq %.1f ms, par %.1f ms (%.2fx)\n"
-    n workers cores seq_ms par_ms speedup
+    m.pa_rows m.pa_workers m.pa_cores m.seq_ms m.par_ms (speedup m)
 
 (* ------------------------------------------------------------------ *)
 (* The algebraic optimizer on a redundant plan: 3 stacked Wheres, the

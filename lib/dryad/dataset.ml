@@ -2,7 +2,7 @@ type 'a t = { parts : 'a array array }
 
 let of_partitions parts = { parts }
 
-let of_array ~parts arr = { parts = Par.partition ~parts arr }
+let of_array ~parts arr = { parts = Array.map Par.materialize (Par.partition ~parts arr) }
 
 let generate ~parts ~per_partition f =
   {

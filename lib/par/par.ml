@@ -1,4 +1,6 @@
-type 'a partitioned = 'a array array
+type 'a view = { base : 'a array; lo : int; len : int }
+
+type 'a partitioned = 'a view array
 
 let partition ~parts arr =
   if parts <= 0 then invalid_arg "Par.partition: parts must be positive";
@@ -9,10 +11,23 @@ let partition ~parts arr =
   let parts = max 1 (min parts n) in
   Array.init parts (fun p ->
       let lo = p * n / parts in
-      let hi = (p + 1) * n / parts in
-      Array.sub arr lo (hi - lo))
+      { base = arr; lo; len = ((p + 1) * n / parts) - lo })
 
-let concat parts = Array.concat (Array.to_list parts)
+let materialize v = Array.sub v.base v.lo v.len
+
+let concat parts = Array.concat (Array.to_list (Array.map materialize parts))
+
+let of_view ty v =
+  let arr = Expr.capture (Ty.Array ty) v.base in
+  if v.lo = 0 && v.len = Array.length v.base then Query.Of_array (ty, arr)
+  else
+    (* One capture of a fresh pair, not two int captures: the capture
+       table shares slots between physically equal values, so [lo] and
+       [len] captured apart would merge whenever they are equal (the
+       second half of an even split) and print a different plan. *)
+    let bounds = Expr.capture (Ty.Pair (Ty.Int, Ty.Int)) (v.lo, v.len) in
+    Query.Range (Expr.Fst bounds, Expr.Snd bounds)
+    |> Query.select (fun i -> Expr.Array_get (arr, i))
 
 let engine_of = function
   | Some e -> e
@@ -44,7 +59,7 @@ let traced_task ~eng ~sink f parts =
   let submit_ms = Telemetry.now_ms () in
   fun i ->
     let start_ms = Telemetry.now_ms () in
-    Metrics.observe rows_h (float_of_int (Array.length parts.(i)));
+    Metrics.observe rows_h (float_of_int parts.(i).len);
     Metrics.observe wait_h (max 0.0 (start_ms -. submit_ms));
     let r =
       Telemetry.with_span sink "partition"
@@ -80,7 +95,7 @@ let merge_partials ~eng ~sink ~count merge =
   Metrics.observe merge_h (max 0.0 (Telemetry.now_ms () -. t0));
   r
 
-let homomorphic_apply ?engine ?backend ?workers _ty build parts =
+let apply_arrays ?engine ?backend ?workers build parts =
   let eng = engine_of engine in
   let sink = Steno.Engine.telemetry eng in
   let workers =
@@ -94,34 +109,10 @@ let homomorphic_apply ?engine ?backend ?workers _ty build parts =
     (fun part -> Steno.Engine.to_array ?backend eng (build part))
     parts
 
-let scalar_per_partition ?engine ?backend ?workers build ~combine parts =
-  let eng = engine_of engine in
-  let sink = Steno.Engine.telemetry eng in
-  let workers =
-    Option.value workers ~default:(Domain_pool.recommended_workers ())
-  in
-  if Array.length parts > 0 then
-    ignore (Steno.Engine.prepare_scalar ?backend eng (build parts.(0)));
-  let partials =
-    map_partitions_traced ~eng ~sink ~workers
-      (fun part ->
-        match Steno.Engine.scalar ?backend eng (build part) with
-        | s -> Some s
-        | exception Iterator.No_such_element -> None)
-      parts
-  in
-  let merged =
-    merge_partials ~eng ~sink ~count:(Array.length partials) (fun () ->
-        Array.fold_left
-          (fun acc p ->
-            match acc, p with
-            | None, x | x, None -> x
-            | Some a, Some b -> Some (combine a b))
-          None partials)
-  in
-  match merged with
-  | Some s -> s
-  | None -> raise Iterator.No_such_element
+let homomorphic_apply ?engine ?backend ?workers _ty build parts =
+  Array.map
+    (fun a -> { base = a; lo = 0; len = Array.length a })
+    (apply_arrays ?engine ?backend ?workers build parts)
 
 (* Homomorphism check, delegated to the static classifier so the
    partitioned runner, the linter and [stenoc lint] agree on which
@@ -129,77 +120,41 @@ let scalar_per_partition ?engine ?backend ?workers build ~combine parts =
 let is_homomorphic q = Check_homo.is_homomorphic q
 
 (* Locate the root captured-array source of a homomorphic prefix and build
-   a function that re-roots the query on a different array. *)
+   a function that re-roots the query on a view of that array. *)
 type 'b rerooted =
   | Rerooted : {
       ty : 'a Ty.t;
       arr : 'a array;
-      rebuild : 'a array -> 'b Query.t;
+      rebuild : 'a view -> 'b Query.t;
     }
       -> 'b rerooted
 
-let rec reroot : type b. b Query.t -> b rerooted option = function
+let rec reroot : type b. b Query.t -> b rerooted option =
+ fun q ->
+  (* Re-root [inner] and rebuild the operator [wrap] on top of it. *)
+  let over : type a. a Query.t -> (a Query.t -> b Query.t) -> b rerooted option =
+   fun inner wrap ->
+    Option.map
+      (fun (Rerooted r) -> Rerooted { r with rebuild = (fun v -> wrap (r.rebuild v)) })
+      (reroot inner)
+  in
+  match q with
   | Query.Of_array (ty, Expr.Capture (_, arr)) ->
-    Some
-      (Rerooted
-         {
-           ty;
-           arr;
-           rebuild = (fun a -> Query.Of_array (ty, Expr.capture (Ty.Array ty) a));
-         })
+    Some (Rerooted { ty; arr; rebuild = of_view ty })
   | Query.Of_array (_, _) | Query.Range _ | Query.Repeat _ -> None
-  | Query.Select (q, lam) ->
-    Option.map
-      (fun (Rerooted r) ->
-        Rerooted
-          { r with rebuild = (fun a -> Query.Select (r.rebuild a, lam)) })
-      (reroot q)
-  | Query.Select_q (q, v, sq) ->
-    Option.map
-      (fun (Rerooted r) ->
-        Rerooted
-          { r with rebuild = (fun a -> Query.Select_q (r.rebuild a, v, sq)) })
-      (reroot q)
-  | Query.Where (q, lam) ->
-    Option.map
-      (fun (Rerooted r) ->
-        Rerooted { r with rebuild = (fun a -> Query.Where (r.rebuild a, lam)) })
-      (reroot q)
-  | Query.Where_q (q, v, sq) ->
-    Option.map
-      (fun (Rerooted r) ->
-        Rerooted
-          { r with rebuild = (fun a -> Query.Where_q (r.rebuild a, v, sq)) })
-      (reroot q)
-  | Query.Select_many (q, v, inner) ->
-    Option.map
-      (fun (Rerooted r) ->
-        Rerooted
-          {
-            r with
-            rebuild = (fun a -> Query.Select_many (r.rebuild a, v, inner));
-          })
-      (reroot q)
+  | Query.Select (q, lam) -> over q (fun q -> Query.Select (q, lam))
+  | Query.Select_q (q, v, sq) -> over q (fun q -> Query.Select_q (q, v, sq))
+  | Query.Where (q, lam) -> over q (fun q -> Query.Where (q, lam))
+  | Query.Where_q (q, v, sq) -> over q (fun q -> Query.Where_q (q, v, sq))
+  | Query.Select_many (q, v, inner) -> over q (fun q -> Query.Select_many (q, v, inner))
   | Query.Select_many_result (q, v, inner, lam2) ->
-    Option.map
-      (fun (Rerooted r) ->
-        Rerooted
-          {
-            r with
-            rebuild =
-              (fun a -> Query.Select_many_result (r.rebuild a, v, inner, lam2));
-          })
-      (reroot q)
+    over q (fun q -> Query.Select_many_result (q, v, inner, lam2))
+  | Query.Materialize q -> over q (fun q -> Query.Materialize q)
   | Query.Take _ | Query.Skip _ | Query.Take_while _ | Query.Skip_while _
   | Query.Select_i _ | Query.Where_i _ | Query.Join _ | Query.Group_by _
   | Query.Group_by_elem _ | Query.Group_by_agg _ | Query.Order_by _
   | Query.Distinct _ | Query.Rev _ ->
     None
-  | Query.Materialize q ->
-    Option.map
-      (fun (Rerooted r) ->
-        Rerooted { r with rebuild = (fun a -> Query.Materialize (r.rebuild a)) })
-      (reroot q)
 
 (* ------------------------------------------------------------------ *)
 (* Typed partial-aggregation descriptors (Fig. 12): a per-partition
@@ -208,7 +163,7 @@ let rec reroot : type b. b Query.t -> b rerooted option = function
    partial to the query's result. *)
 
 type ('row, 'partial, 'result) decomposition = {
-  inject : 'row array -> 'partial Query.sq;
+  inject : 'row view -> 'partial Query.sq;
   combine : 'partial -> 'partial -> 'partial;
   project : 'partial option -> 'result;
   short_circuit : ('partial -> bool) option;
@@ -221,6 +176,8 @@ type 'r decomposed =
       decomp : ('row, 'partial, 'r) decomposition;
     }
       -> 'r decomposed
+
+let required = function Some s -> s | None -> raise Iterator.No_such_element
 
 let rec decompose : type r. r Query.sq -> r decomposed option =
  fun sq ->
@@ -248,10 +205,6 @@ let rec decompose : type r. r Query.sq -> r decomposed option =
                  short_circuit;
                };
            })
-  in
-  let required = function
-    | Some s -> s
-    | None -> raise Iterator.No_such_element
   in
   match sq with
   (* Same-typed partials: Agg_i and Agg* are the aggregate itself. *)
@@ -393,59 +346,16 @@ let run_decomposed (type row p r) ?engine ?backend ?workers
   in
   d.project merged
 
-(* Legacy same-typed split (partial state = result).  Superseded by
-   {!decompose}, kept for callers that need the simpler shape. *)
-type 's split =
-  | Split : {
-      source_ty : 'a Ty.t;
-      source : 'a array;
-      rebuild : 'a array -> 's Query.sq;
-      combine : 's -> 's -> 's;
+(* A same-typed decomposition: the partial is the result. *)
+let scalar_per_partition ?engine ?backend ?workers build ~combine parts =
+  run_decomposed ?engine ?backend ?workers
+    {
+      inject = build;
+      combine;
+      project = required;
+      short_circuit = None;
     }
-      -> 's split
-
-let split_scalar (type s) (sq : s Query.sq) : s split option =
-  let mk (type a) (q : a Query.t) (wrap : a Query.t -> s Query.sq)
-      (combine : s -> s -> s) : s split option =
-    match reroot q with
-    | None -> None
-    | Some (Rerooted r) ->
-      Some
-        (Split
-           {
-             source_ty = r.ty;
-             source = r.arr;
-             rebuild = (fun a -> wrap (r.rebuild a));
-             combine;
-           })
-  in
-  match sq with
-  | Query.Sum_int q -> mk q (fun q -> Query.Sum_int q) ( + )
-  | Query.Sum_float q -> mk q (fun q -> Query.Sum_float q) ( +. )
-  | Query.Count q -> mk q (fun q -> Query.Count q) ( + )
-  | Query.Min q -> mk q (fun q -> Query.Min q) min
-  | Query.Max q -> mk q (fun q -> Query.Max q) max
-  | Query.Min_by (q, key) ->
-    let k = Expr.stage key in
-    mk q
-      (fun q -> Query.Min_by (q, key))
-      (fun a b -> if k b < k a then b else a)
-  | Query.Max_by (q, key) ->
-    let k = Expr.stage key in
-    mk q
-      (fun q -> Query.Max_by (q, key))
-      (fun a b -> if k b > k a then b else a)
-  | Query.Any q -> mk q (fun q -> Query.Any q) ( || )
-  | Query.Exists (q, lam) -> mk q (fun q -> Query.Exists (q, lam)) ( || )
-  | Query.For_all (q, lam) -> mk q (fun q -> Query.For_all (q, lam)) ( && )
-  | Query.Contains (q, v) -> mk q (fun q -> Query.Contains (q, v)) ( || )
-  | Query.Aggregate_combinable (q, seed, step, c) ->
-    mk q (fun q -> Query.Aggregate (q, seed, step)) c
-  (* Partial and result states differ ({!decompose} handles these) or no
-     associative structure is known. *)
-  | Query.Aggregate _ | Query.Aggregate_full _ | Query.Average _
-  | Query.First _ | Query.Last _ | Query.Element_at _ | Query.Map_scalar _ ->
-    None
+    parts
 
 (* Partition count for the auto helpers.  The historical default is one
    chunk per worker; an engine with adaptive optimization enabled sizes
@@ -485,11 +395,10 @@ let to_array_auto ?engine ?backend ?workers ?parts (q : 'a Query.t) : 'a array =
     let parts = auto_parts ~eng ~workers ~parts (Array.length r.arr) in
     if Array.length r.arr = 0 then Steno.Engine.to_array ?backend eng q
     else
-      let partitions = partition ~parts r.arr in
-      concat
-        (homomorphic_apply ~engine:eng ?backend ~workers r.ty
-           (fun part -> r.rebuild part)
-           partitions)
+      Array.concat
+        (Array.to_list
+           (apply_arrays ~engine:eng ?backend ~workers r.rebuild
+              (partition ~parts r.arr)))
   | Some _ | None -> Steno.Engine.to_array ?backend eng q
 
 (* Partitioned GroupBy-Aggregate (section 4.3 x section 6): each

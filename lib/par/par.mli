@@ -4,19 +4,37 @@
     are homomorphic (apply to each element independently): the
     homomorphic prefix runs on every partition as an independent subquery
     — compiled once by Steno and reused, since partitions only differ in
-    the captured source array — and an associative trailing aggregation is
+    captured values (the view bounds, see {!of_view}) — and an associative trailing aggregation is
     split into per-partition partial aggregations [Agg_i] combined by a
     final [Agg*] (Fig. 12). *)
 
-type 'a partitioned = 'a array array
+type 'a view = { base : 'a array; lo : int; len : int }
+(** The rows [base.(lo) .. base.(lo + len - 1)].  A view aliases [base]:
+    it is not a copy, and [base] must not be mutated while a run reads
+    the view. *)
+
+type 'a partitioned = 'a view array
+(** Partitions as views of one source array, in source order. *)
 
 val partition : parts:int -> 'a array -> 'a partitioned
-(** Split into [parts] contiguous chunks of near-equal size (at most one
-    element difference).  [parts] must be positive and is capped at the
-    row count, so no empty chunk is ever produced (each would cost a
-    full engine run); an empty input yields a single empty chunk. *)
+(** Split into [parts] contiguous views of near-equal size (at most one
+    element difference), in O([parts]) time and space: no row is copied.
+    [parts] must be positive and is capped at the row count, so no empty
+    view is ever produced (each would cost a full engine run); an empty
+    input yields a single empty view. *)
+
+val materialize : 'a view -> 'a array
+(** A fresh copy of the view's rows. *)
 
 val concat : 'a partitioned -> 'a array
+
+val of_view : 'a Ty.t -> 'a view -> 'a Query.t
+(** The view as a query source.  A view of the whole array is the plain
+    [Of_array] source, so a one-partition run shares the sequential
+    plan.  Any other view is [Range (lo, len)] selecting
+    [Array_get (base, i)], with [base] and the [(lo, len)] pair captured:
+    every backend runs it unchanged, and all partitions of one array
+    print the same code, so they share one compiled plan. *)
 
 (** {1 Explicit parallel operators}
 
@@ -32,20 +50,21 @@ val homomorphic_apply :
   ?backend:Steno.backend ->
   ?workers:int ->
   'a Ty.t ->
-  ('a array -> 'b Query.t) ->
+  ('a view -> 'b Query.t) ->
   'a partitioned ->
   'b partitioned
 (** The paper's [HomomorphicApply] PLINQ operator: apply a compiled
     subquery to each partition in parallel, yielding a new set of
-    partitions.  The query builder receives the partition's data; with the
-    [Native] backend the generated plugin is compiled once and shared by
-    all partitions (identical source, different capture environment). *)
+    partitions.  The query builder receives the partition's view (turn it
+    into a source with {!of_view}); with the [Native] backend the
+    generated plugin is compiled once and shared by all partitions
+    (identical source, different capture environment). *)
 
 val scalar_per_partition :
   ?engine:Steno.Engine.t ->
   ?backend:Steno.backend ->
   ?workers:int ->
-  ('a array -> 's Query.sq) ->
+  ('a view -> 's Query.sq) ->
   combine:('s -> 's -> 's) ->
   'a partitioned ->
   's
@@ -70,7 +89,7 @@ val is_homomorphic : 'a Query.t -> bool
     that decides the whole query (e.g. a [true] for [Any]), cancelling
     the remaining partitions through {!Domain_pool.run_until}. *)
 type ('row, 'partial, 'result) decomposition = {
-  inject : 'row array -> 'partial Query.sq;
+  inject : 'row view -> 'partial Query.sq;
   combine : 'partial -> 'partial -> 'partial;
   project : 'partial option -> 'result;
   short_circuit : ('partial -> bool) option;
@@ -87,10 +106,10 @@ type 'r decomposed =
 val decompose : 'r Query.sq -> 'r decomposed option
 (** Analyze a scalar query: if it is a homomorphic prefix over a
     captured array source ending in a decomposable aggregate, return the
-    partitioned execution plan.  Covers the same-typed aggregates of
-    {!split_scalar} plus [Average] (a [(sum, count)] pair partial),
-    [First]/[Last] (leftmost/rightmost non-empty partial),
-    short-circuiting [Any]/[Exists]/[Contains]/[For_all], user
+    partitioned execution plan.  Covers the same-typed aggregates ([Sum],
+    [Count], [Min]/[Max], [Min_by]/[Max_by]), [Average] (a [(sum, count)]
+    pair partial, which Native code keeps in two unboxed accumulators),
+    [First]/[Last] (leftmost/rightmost non-empty partial), short-circuiting [Any]/[Exists]/[Contains]/[For_all], user
     aggregates declared combinable with [Query.aggregate ?combine], and
     [Map_scalar] over any of these.  [None] when the query cannot be
     split (opaque aggregate, non-homomorphic operator, or a computed
@@ -107,22 +126,6 @@ val run_decomposed :
     pool (compiled once, shared), then the [Agg*] merge — timed under an
     ["agg-merge"] span and the [steno_agg_merge_ms] histogram — and the
     final projection. *)
-
-type 's split =
-  | Split : {
-      source_ty : 'a Ty.t;
-      source : 'a array;
-      rebuild : 'a array -> 's Query.sq;
-          (** The per-partition subquery: the original query with its
-              source replaced by a partition. *)
-      combine : 's -> 's -> 's;  (** The [Agg*] operator. *)
-    }
-      -> 's split
-
-val split_scalar : 's Query.sq -> 's split option
-(** The legacy same-typed analysis (partial state = result type),
-    superseded by {!decompose}: [None] for [Average]/[First]/[Last]/
-    [Map_scalar] even though those decompose. *)
 
 val scalar_auto :
   ?engine:Steno.Engine.t ->

@@ -89,6 +89,86 @@ let fold_agg ~seed ~(step : Quil.lam2) ?(result : Quil.lam1 option) () : Quil.ag
           accs);
   }
 
+(* True when [v] occurs in [e] only as [Fst v] or [Snd v]. *)
+let rec only_projected : type a b. a Expr.var -> b Expr.t -> bool =
+ fun v e ->
+  let go : type c. c Expr.t -> bool = fun e -> only_projected v e in
+  match e with
+  | Expr.Var x -> x.Expr.id <> v.Expr.id
+  | Expr.Fst (Expr.Var _) | Expr.Snd (Expr.Var _) -> true
+  | Expr.Const_unit | Expr.Const_bool _ | Expr.Const_int _ | Expr.Const_float _
+  | Expr.Const_string _ | Expr.Capture _ ->
+    true
+  | Expr.If (c, a, b) -> go c && go a && go b
+  | Expr.Let (_, a, b) -> go a && go b
+  | Expr.Pair (a, b) -> go a && go b
+  | Expr.Fst a -> go a
+  | Expr.Snd a -> go a
+  | Expr.Triple (a, b, c) -> go a && go b && go c
+  | Expr.Proj3_1 a -> go a
+  | Expr.Proj3_2 a -> go a
+  | Expr.Proj3_3 a -> go a
+  | Expr.Prim1 (_, a) -> go a
+  | Expr.Prim2 (_, a, b) -> go a && go b
+  | Expr.Array_get (a, i) -> go a && go i
+  | Expr.Array_length a -> go a
+  | Expr.Apply (f, a) -> go f && go a
+
+(* Scalar replacement of a pair accumulator: a fold whose seed is
+   [Pair (s1, s2)], whose step body is [Pair (b1, b2)], and whose
+   accumulator occurs only under [Fst]/[Snd] becomes two accumulators
+   (built like [average_agg]), so the generated loop keeps them in
+   unboxed locals instead of allocating a pair per row; the pair is
+   rebuilt once, in [result].  [None] for any other fold. *)
+let pair_fold_agg (type s e) ~(seed : s Expr.t) ~(step : (s, e, s) Expr.lam2)
+    ?(result : Quil.lam1 option) () : Quil.agg option =
+  let acc = step.Expr.param1 in
+  match Expr.simplify seed, Expr.simplify step.Expr.body2 with
+  | Expr.Pair (s1, s2), Expr.Pair (b1, b2)
+    when only_projected acc b1 && only_projected acc b2 ->
+    let v1 = Expr.fresh_var "a" (Expr.ty_of s1)
+    and v2 = Expr.fresh_var "b" (Expr.ty_of s2) in
+    let state = Expr.Pair (Expr.Var v1, Expr.Var v2) in
+    let acc_of seed b =
+      let b = Expr.simplify (Expr.subst acc state b) in
+      {
+        Quil.seed = render_expr seed;
+        step =
+          (fun ~accs ~elem nenv tbl ->
+            acc2
+              (fun a1 a2 ->
+                let nenv = Expr.name_env_add step.Expr.param2 elem nenv in
+                render_expr b (Expr.name_env_add v1 a1 (Expr.name_env_add v2 a2 nenv)) tbl)
+              accs);
+        first = None;
+      }
+    in
+    Some
+      {
+        Quil.accs = [ acc_of s1 b1; acc_of s2 b2 ];
+        first_element = false;
+        require_nonempty = false;
+        early_exit = None;
+        result =
+          (fun ~accs nenv tbl ->
+            acc2
+              (fun a1 a2 ->
+                let pair = Printf.sprintf "(%s, %s)" a1 a2 in
+                match result with
+                | None -> pair
+                | Some r -> r.Quil.body1 (r.Quil.bind1 pair nenv) tbl)
+              accs);
+      }
+  | _ -> None
+
+(* A user fold: scalar-replaced when its state is a pair, else one
+   accumulator. *)
+let user_fold_agg ~seed ~step ?result () =
+  match pair_fold_agg ~seed ~step ?result () with
+  | Some agg -> agg
+  | None ->
+    fold_agg ~seed:(render_expr (Expr.simplify seed)) ~step:(lam2_of step) ?result ()
+
 let simple_fold ?early_exit ~seed ~step_code () : Quil.agg =
   {
     Quil.accs =
@@ -519,22 +599,14 @@ let rec lower : type a. a Query.t -> Quil.chain = function
 
 and lower_scalar : type s. s Query.sq -> Quil.chain = function
   | Query.Aggregate (q, seed, step) ->
-    append (lower q)
-      (Quil.Agg
-         (fold_agg ~seed:(render_expr (Expr.simplify seed))
-            ~step:(lam2_of step) ()))
+    append (lower q) (Quil.Agg (user_fold_agg ~seed ~step ()))
   | Query.Aggregate_combinable (q, seed, step, _) ->
     (* The combiner is a parallel-only annotation; generated code folds
        sequentially, exactly like a plain Aggregate. *)
-    append (lower q)
-      (Quil.Agg
-         (fold_agg ~seed:(render_expr (Expr.simplify seed))
-            ~step:(lam2_of step) ()))
+    append (lower q) (Quil.Agg (user_fold_agg ~seed ~step ()))
   | Query.Aggregate_full (q, seed, step, result) ->
     append (lower q)
-      (Quil.Agg
-         (fold_agg ~seed:(render_expr (Expr.simplify seed))
-            ~step:(lam2_of step) ~result:(lam1_of result) ()))
+      (Quil.Agg (user_fold_agg ~seed ~step ~result:(lam1_of result) ()))
   | Query.Sum_int q -> append (lower q) (Quil.Agg sum_int_agg)
   | Query.Sum_float q -> append (lower q) (Quil.Agg sum_float_agg)
   | Query.Count q -> append (lower q) (Quil.Agg count_agg)

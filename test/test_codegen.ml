@@ -209,6 +209,88 @@ let test_invalid_chain_rejected () =
   | exception Codegen.Invalid_chain _ -> ()
   | _ -> Alcotest.fail "invalid chain accepted"
 
+(* Pair-state folds: a state used only through Fst/Snd is scalar-replaced
+   into two accumulators; a state used whole keeps one. *)
+let avg_state_seed = Expr.Pair (Expr.float 0.0, Expr.int 0)
+
+let avg_state_step acc x =
+  Expr.Pair (I.(Expr.Fst acc +. x), I.(Expr.Snd acc + Expr.int 1))
+
+(* Keeps the larger running sum: [acc] is used whole in one branch. *)
+let max_state_step acc x =
+  Expr.If
+    ( I.(Expr.Fst acc > x),
+      acc,
+      Expr.Pair (x, I.(Expr.Snd acc + Expr.int 1)) )
+
+
+let test_pair_state_scalar_replaced () =
+  let src =
+    gen_s
+      (Query.of_array Ty.Float [| 1.0 |]
+      |> Query.aggregate ~seed:avg_state_seed ~step:avg_state_step)
+  in
+  check_contains src "_1 = ref";
+  check_absent src "Stdlib.fst";
+  let whole =
+    gen_s
+      (Query.of_array Ty.Float [| 1.0 |]
+      |> Query.aggregate ~seed:avg_state_seed ~step:max_state_step)
+  in
+  check_absent whole "_1 = ref";
+  (* Pair-bodied, but [acc] is used whole under a projection. *)
+  let under_fst =
+    gen_s
+      (Query.of_array Ty.Float [| 1.0 |]
+      |> Query.aggregate ~seed:avg_state_seed ~step:(fun acc x ->
+             Expr.Pair (Expr.Fst (max_state_step acc x), I.(Expr.Snd acc + Expr.int 1))))
+  in
+  check_absent under_fst "_1 = ref"
+
+let native_engine () =
+  Steno.Engine.create { Steno.Engine.default_config with backend = Steno.Native }
+
+(* The Average Agg_i state: a scalar-replaced (float * int) fold allocates
+   nothing per row in Native code. *)
+let test_pair_state_allocation () =
+  if Steno.native_available () then begin
+    let n = 100_000 in
+    let xs = Array.init n (fun i -> float_of_int (i mod 1000)) in
+    let p =
+      Steno.Engine.prepare_scalar (native_engine ())
+        (Query.of_array Ty.Float xs
+        |> Query.aggregate ~seed:avg_state_seed ~step:avg_state_step)
+    in
+    Alcotest.(check bool) "native plan" true
+      (Steno.Prepared_scalar.backend_used p = Steno.Native);
+    ignore (Steno.Prepared_scalar.run p);
+    let w0 = Gc.minor_words () in
+    let sum, count = Steno.Prepared_scalar.run p in
+    let per_row = (Gc.minor_words () -. w0) /. float_of_int n in
+    Alcotest.(check (float 1e-6)) "sum" (Array.fold_left ( +. ) 0.0 xs) sum;
+    Alcotest.(check int) "count" n count;
+    if per_row >= 0.01 then
+      Alcotest.failf "pair-state fold allocates %.3f words per row" per_row
+  end
+
+(* Both lowerings of a pair-state fold agree with Reference on every
+   backend. *)
+let test_pair_state_matches_reference () =
+  let xs = Array.init 1001 (fun i -> float_of_int ((i * 37) mod 1001) /. 10.0) in
+  let backends =
+    [ Steno.Linq; Steno.Fused ] @ if Steno.native_available () then [ Steno.Native ] else []
+  in
+  List.iter
+    (fun (name, step) ->
+      let sq = Query.of_array Ty.Float xs |> Query.aggregate ~seed:avg_state_seed ~step in
+      let expected = Reference.scalar sq in
+      List.iter
+        (fun backend ->
+          let eng = Steno.Engine.create { Steno.Engine.default_config with backend } in
+          Alcotest.(check (pair (float 1e-9) int)) name expected (Steno.Engine.scalar eng sq))
+        backends)
+    [ "projected state", avg_state_step; "whole state", max_state_step ]
+
 let test_generated_code_compiles () =
   (* Every shape of generated code must be accepted by the compiler. *)
   if Dynload.is_available () then begin
@@ -250,8 +332,16 @@ let () =
           Alcotest.test_case "sorted sink structure" `Quick test_sorted_sink_structure;
           Alcotest.test_case "early exit structure" `Quick test_early_exit_structure;
           Alcotest.test_case "invalid chain" `Quick test_invalid_chain_rejected;
+          Alcotest.test_case "pair state scalar-replaced" `Quick
+            test_pair_state_scalar_replaced;
+          Alcotest.test_case "pair state = reference" `Quick
+            test_pair_state_matches_reference;
         ] );
       ( "compilation",
-        [ Alcotest.test_case "all shapes compile" `Slow test_generated_code_compiles ]
+        [
+          Alcotest.test_case "all shapes compile" `Slow test_generated_code_compiles;
+          Alcotest.test_case "pair state allocation-free" `Quick
+            test_pair_state_allocation;
+        ]
       );
     ]

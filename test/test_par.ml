@@ -11,9 +11,9 @@ let test_partition_roundtrip () =
   Alcotest.(check int) "4 parts" 4 (Array.length parts);
   Alcotest.(check (array int)) "concat restores" arr (Par.concat parts);
   Array.iter
-    (fun p ->
-      Alcotest.(check bool) "balanced" true
-        (abs (Array.length p - (17 / 4)) <= 1))
+    (fun (p : int Par.view) ->
+      Alcotest.(check bool) "balanced" true (abs (p.Par.len - (17 / 4)) <= 1);
+      Alcotest.(check bool) "aliases the source" true (p.Par.base == arr))
     parts;
   (* Regression (PR 5): more parts than elements used to emit empty
      trailing partitions, each costing a full engine run; parts are now
@@ -22,15 +22,28 @@ let test_partition_roundtrip () =
   Alcotest.(check int) "parts capped at rows" 2 (Array.length tiny);
   Alcotest.(check (array int)) "tiny concat" [| 1; 2 |] (Par.concat tiny);
   Array.iter
-    (fun p -> Alcotest.(check bool) "no empty partition" false (p = [||]))
+    (fun (p : int Par.view) ->
+      Alcotest.(check bool) "no empty partition" false (p.Par.len = 0))
     tiny;
   (* An empty input still yields a single (empty) partition. *)
   let empty = Par.partition ~parts:4 ([||] : int array) in
   Alcotest.(check int) "empty input, one partition" 1 (Array.length empty);
-  Alcotest.(check (array int)) "empty partition" [||] empty.(0);
+  Alcotest.(check (array int)) "empty partition" [||] (Par.materialize empty.(0));
   Alcotest.check_raises "zero parts"
     (Invalid_argument "Par.partition: parts must be positive") (fun () ->
       ignore (Par.partition ~parts:0 [| 1 |]))
+
+(* Partitions are views: splitting a 1M-element array allocates a few
+   words per part, not a copy of its rows. *)
+let test_partition_zero_copy () =
+  let arr = Array.make 1_000_000 0.0 in
+  (* Both heaps: a copy this large would go straight to the major heap. *)
+  let b0 = Gc.allocated_bytes () in
+  let parts = Par.partition ~parts:8 arr in
+  let words = (Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8) in
+  Alcotest.(check int) "8 parts" 8 (Array.length parts);
+  if words > 100.0 then
+    Alcotest.failf "partitioning allocated %.0f words for 8 parts" words
 
 let test_domain_pool () =
   let results = Domain_pool.run ~workers:4 ~tasks:20 (fun i -> i * i) in
@@ -88,13 +101,17 @@ let test_domain_pool_run_until () =
 let test_homomorphic_apply () =
   let data = Array.init 100 (fun i -> i) in
   let parts = Par.partition ~parts:7 data in
-  let build part =
-    ints part
+  let build src =
+    src
     |> Query.where (fun x -> I.(x mod Expr.int 2 = Expr.int 0))
     |> Query.select (fun x -> I.(x * x))
   in
-  let out = Par.homomorphic_apply ~workers:4 Ty.Int build parts in
-  let sequential = Steno.to_array (build data) in
+  let out =
+    Par.homomorphic_apply ~workers:4 Ty.Int
+      (fun v -> build (Par.of_view Ty.Int v))
+      parts
+  in
+  let sequential = Steno.to_array (build (ints data)) in
   Alcotest.(check (array int)) "same as sequential" sequential (Par.concat out)
 
 let test_scalar_per_partition () =
@@ -102,7 +119,7 @@ let test_scalar_per_partition () =
   let parts = Par.partition ~parts:8 data in
   let total =
     Par.scalar_per_partition ~workers:4
-      (fun part -> Query.sum_int (ints part))
+      (fun v -> Query.sum_int (Par.of_view Ty.Int v))
       ~combine:( + ) parts
   in
   Alcotest.(check int) "partial sums combine" (999 * 1000 / 2) total
@@ -120,27 +137,26 @@ let test_is_homomorphic () =
     (Par.is_homomorphic (Query.group_by (fun x -> x) src));
   Alcotest.(check bool) "distinct is not" false (Par.is_homomorphic (Query.distinct src))
 
-let test_split_scalar () =
+(* The cases of the retired same-typed split analysis, as decompose
+   assertions: a homomorphic prefix over a captured array splits, Take
+   blocks, a Range source does not split, and Average decomposes. *)
+let test_decompose_legacy_cases () =
   let q = ints (Array.init 50 (fun i -> i)) |> Query.select (fun x -> I.(x * Expr.int 3)) in
-  (match Par.split_scalar (Query.sum_int q) with
-  | Some (Par.Split { source; _ }) ->
+  (match Par.decompose (Query.sum_int q) with
+  | Some (Par.Decomposed { source; _ }) ->
     Alcotest.(check int) "source found" 50 (Array.length source)
   | None -> Alcotest.fail "sum over homomorphic prefix must split");
-  (* Non-homomorphic prefix cannot split. *)
-  (match Par.split_scalar (Query.sum_int (Query.take 3 q)) with
+  (match Par.decompose (Query.sum_int (Query.take 3 q)) with
   | None -> ()
   | Some _ -> Alcotest.fail "take must prevent splitting");
-  (* Average's partial is a (sum, count) pair, not a float: it is beyond
-     the legacy same-typed API (but decomposes — see below). *)
-  (match Par.split_scalar (Query.average (Query.of_array Ty.Float [| 1.0 |])) with
+  (match Par.decompose (Query.sum_int (Query.range ~start:0 ~count:5)) with
   | None -> ()
-  | Some _ -> Alcotest.fail "average must not split (same-typed API)");
-  (* Range sources (no captured array) cannot split. *)
-  match Par.split_scalar (Query.sum_int (Query.range ~start:0 ~count:5)) with
-  | None -> ()
-  | Some _ -> Alcotest.fail "range source must not split"
+  | Some _ -> Alcotest.fail "range source must not split");
+  match Par.decompose (Query.average (Query.of_array Ty.Float [| 1.0 |])) with
+  | Some _ -> ()
+  | None -> Alcotest.fail "average must decompose"
 
-(* The typed decomposition framework covers what split_scalar cannot. *)
+(* The typed decomposition framework's coverage. *)
 let test_decompose_coverage () =
   let must_decompose : type s. string -> s Query.sq -> unit =
    fun name sq ->
@@ -279,6 +295,7 @@ let () =
       ( "partitioning",
         [
           Alcotest.test_case "roundtrip" `Quick test_partition_roundtrip;
+          Alcotest.test_case "zero-copy views" `Quick test_partition_zero_copy;
           Alcotest.test_case "domain pool" `Quick test_domain_pool;
           Alcotest.test_case "persistent pool" `Quick test_domain_pool_persistent;
           Alcotest.test_case "run_until" `Quick test_domain_pool_run_until;
@@ -292,7 +309,7 @@ let () =
       ( "splitting",
         [
           Alcotest.test_case "is_homomorphic" `Quick test_is_homomorphic;
-          Alcotest.test_case "split_scalar" `Quick test_split_scalar;
+          Alcotest.test_case "decompose legacy cases" `Quick test_decompose_legacy_cases;
           Alcotest.test_case "decompose coverage" `Quick test_decompose_coverage;
           Alcotest.test_case "auto = sequential" `Quick test_scalar_auto_matches_sequential;
           Alcotest.test_case "empty partitions" `Quick test_scalar_auto_empty_partitions;

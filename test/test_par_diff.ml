@@ -191,6 +191,53 @@ let test_group_aggregate_diff () =
         partitionings)
     (backends ())
 
+(* Views at their edges: every length in [view_lengths] under every
+   partition count from 1 to 8, on every backend, for the three auto
+   helpers — catching off-by-one bounds where one view ends and the next
+   begins, and a partition count not capped at the row count. *)
+let view_lengths = [ 0; 1; 2; 3; 7; 1000; 1001 ]
+
+let prop_views_match_reference =
+  let engines = lazy (List.map (fun (_, b) -> engine_of b) (backends ())) in
+  QCheck.Test.make ~name:"views at partition edges = Reference" ~count:60
+    QCheck.(triple (oneofl view_lengths) (int_range 1 8) small_nat)
+    (fun (n, parts, salt) ->
+      let data = Array.init n (fun i -> ((i * 7919) + salt) mod 1009) in
+      let q =
+        ints data
+        |> Query.where (fun x -> I.(x mod Expr.int 3 <> Expr.int 0))
+        |> Query.select (fun x -> I.(x * Expr.int 2))
+      in
+      let sum = Query.sum_int q in
+      let avg = Query.average (floats (Array.map float_of_int data)) in
+      let groups =
+        ints data
+        |> Query.group_by_agg
+             ~key:(fun x -> I.(x mod Expr.int 5))
+             ~seed:(Expr.int 0)
+             ~step:(fun acc x -> I.(acc + x))
+      in
+      let avg_of run = try Some (run avg) with Iterator.No_such_element -> None in
+      let same_avg a b =
+        match a, b with
+        | Some a, Some b -> feq a b
+        | None, None -> true
+        | Some _, None | None, Some _ -> false
+      in
+      Array.length (Par.partition ~parts data) = max 1 (min parts n)
+      && List.for_all
+           (fun engine ->
+             let workers = 3 in
+             Par.scalar_auto ~engine ~workers ~parts sum = Reference.scalar sum
+             && same_avg
+                  (avg_of (fun sq -> Par.scalar_auto ~engine ~workers ~parts sq))
+                  (avg_of Reference.scalar)
+             && Par.to_array_auto ~engine ~workers ~parts q
+                = Array.of_list (Reference.to_list q)
+             && Par.group_aggregate ~engine ~workers ~parts ~combine:( + ) groups
+                = Array.of_list (Reference.to_list groups))
+           (Lazy.force engines))
+
 let () =
   Alcotest.run "par-diff"
     [
@@ -209,4 +256,5 @@ let () =
         [
           Alcotest.test_case "group aggregate" `Quick test_group_aggregate_diff;
         ] );
+      "views", [ QCheck_alcotest.to_alcotest prop_views_match_reference ];
     ]

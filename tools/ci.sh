@@ -114,6 +114,19 @@ dune exec bench/main.exe -- --scale 0.01 --json-profile BENCH_PR3.json
 echo "== partitioned aggregation (scale 0.01) =="
 dune exec bench/main.exe -- --scale 0.01 --json-par BENCH_PR5.json
 python3 -m json.tool BENCH_PR5.json > /dev/null
+# With a native toolchain, the Average Agg_i inject loop keeps its
+# (sum, count) state in unboxed locals: a deterministic allocation
+# count, not a timing.
+if grep -qF '"native_available": true' BENCH_PR5.json; then
+  python3 - <<'EOF'
+import json, sys
+r = json.load(open("BENCH_PR5.json"))
+if r["inject_words_per_row"] > 0.01:
+    print("BENCH_PR5.json: inject loop allocates %.4f words/row > 0.01"
+          % r["inject_words_per_row"], file=sys.stderr)
+    sys.exit(1)
+EOF
+fi
 
 echo "== serving-layer stress smoke (8 clients x 4 requests) =="
 dune exec bench/main.exe -- serve --scale 0.01 --clients 8 --requests 4 \
