@@ -156,7 +156,7 @@ let start ?port engine =
     match port with
     | Some p -> p
     | None -> (
-      match (Steno.Engine.config engine).Steno.Engine.admin_port with
+      match (Steno.Engine.config engine).Steno.Config.admin_port with
       | Some p -> p
       | None -> 0)
   in

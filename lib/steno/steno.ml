@@ -89,6 +89,9 @@ let profile_snapshot prof =
         (Metrics.Probe.points prof.prof_probe);
   }
 
+let new_profile prof_backend prof_probe prof_native_rows =
+  { prof_backend; prof_probe; prof_native_rows; prof_runs = 0; prof_run_ms = 0.0 }
+
 (* Probe wrappers for the staged backends.  The point is allocated when
    the label is applied — once per operator, at staging — so the per-run
    cost is only the decorated iterator/folder. *)
@@ -138,8 +141,9 @@ let fused_probe_wrapper pr : Fused.wrapper =
             });
   }
 
-(* Collection and scalar preparations share one representation; the
-   public ['a prepared] / ['s prepared_scalar] are typed views of it. *)
+(* Collection and scalar preparations share one representation: an
+   ['r prep] runs to ['r], which is ['a array] for a collection query and
+   the aggregate's type for a scalar one. *)
 type 'r prep = {
   run_fn : unit -> 'r;
   p_info : compile_info;
@@ -151,7 +155,7 @@ type 'r prep = {
       (* Present iff the engine had [profile = true] at prepare time. *)
   p_diags : Check.diagnostic list;
       (* Static-check diagnostics for the query as written (computed
-         before optimization). *)
+         before optimization), plus any rejected-rewrite findings. *)
   p_tier : backend Atomic.t;
       (* The backend currently executing this preparation.  Fixed for
          ordinary preparations; a tiered preparation starts at [Fused]
@@ -163,10 +167,24 @@ type 'r prep = {
          fused (est. 40 rows)").  Empty without [Config.with_adaptive]. *)
 }
 
-exception Check_failed of Check.diagnostic list
+module Prepared = struct
+  type 'r t = 'r prep
 
-type 'a prepared = 'a array prep
-type 's prepared_scalar = 's prep
+  let run p = p.run_fn ()
+  let backend_used p = Atomic.get p.p_tier
+  let compile_info p = p.p_info
+  let rewrite_log p = p.p_rules
+  let diagnostics p = p.p_diags
+  let profile p = Option.map profile_snapshot p.p_profile
+  let decisions p = p.p_decisions
+end
+
+module Prepared_scalar = Prepared
+
+type 'a prepared = 'a array Prepared.t
+type 's prepared_scalar = 's Prepared.t
+
+exception Check_failed of Check.diagnostic list
 
 let now_ms = Telemetry.now_ms
 
@@ -197,67 +215,186 @@ let fused_wrapper = function
   | None -> Fused.unprobed
   | Some pr -> fused_probe_wrapper pr
 
-let query_plan (q : 'a Query.t) : 'a array plan =
+(* The staged plans of one query.  [linq] and [fused] stage it for the
+   interpreted tiers when applied to it; [specialize] and [lower] take
+   it to a QUIL chain for Native. *)
+let plan_of ~linq ~fused ~specialize ~lower ~of_raw x =
+  let specialized sink =
+    Telemetry.with_span sink "specialize" (fun () -> specialize x)
+  in
+  let stage sink f =
+    let staged = Telemetry.with_span sink "stage" f in
+    fun () -> staged Expr.Open.empty
+  in
   {
     stage_linq =
-      (fun ?probe sink ->
-        let w = linq_wrapper probe in
-        let staged =
-          Telemetry.with_span sink "stage" (fun () -> Linq.stage_probed w q)
-        in
-        fun () -> Enumerable.to_array (staged Expr.Open.empty));
+      (fun ?probe sink -> stage sink (fun () -> linq (linq_wrapper probe) x));
     stage_fused =
       (fun ?probe sink ->
-        let w = fused_wrapper probe in
-        let spec =
-          Telemetry.with_span sink "specialize" (fun () -> Specialize.query q)
-        in
-        let staged =
-          Telemetry.with_span sink "stage" (fun () ->
-              Fused.stage_probed w spec)
-        in
-        fun () -> Fused.materialize (staged Expr.Open.empty));
+        let spec = specialized sink in
+        stage sink (fun () -> fused (fused_wrapper probe) spec));
     chain =
       (fun sink ->
-        let spec =
-          Telemetry.with_span sink "specialize" (fun () -> Specialize.query q)
-        in
-        Telemetry.with_span sink "canon" (fun () -> Canon.of_specialized spec));
-    of_raw = (fun r : _ array -> Obj.obj r);
+        let spec = specialized sink in
+        Telemetry.with_span sink "canon" (fun () -> lower spec));
+    of_raw;
   }
 
-let scalar_plan (sq : 's Query.sq) : 's plan =
-  {
-    stage_linq =
-      (fun ?probe sink ->
-        let w = linq_wrapper probe in
-        let staged =
-          Telemetry.with_span sink "stage" (fun () ->
-              Linq.stage_sq_probed w sq)
-        in
-        fun () -> staged Expr.Open.empty);
-    stage_fused =
-      (fun ?probe sink ->
-        let w = fused_wrapper probe in
-        let spec =
-          Telemetry.with_span sink "specialize" (fun () ->
-              Specialize.scalar sq)
-        in
-        let staged =
-          Telemetry.with_span sink "stage" (fun () ->
-              Fused.stage_sq_probed w spec)
-        in
-        fun () -> staged Expr.Open.empty);
-    chain =
-      (fun sink ->
-        let spec =
-          Telemetry.with_span sink "specialize" (fun () ->
-              Specialize.scalar sq)
-        in
-        Telemetry.with_span sink "canon" (fun () ->
-            Canon.of_specialized_scalar spec));
-    of_raw = Obj.obj;
-  }
+(* The recording schema: the probed operator spine of the plan that
+   will actually execute, in probe-point order (source first), with
+   each [Where]'s digest and the measured selectivity this preparation
+   assumed for it — [None] when the assumption was only the static
+   prior, so drift detection never fires against a guess (a fresh
+   query whose true selectivity is far from 0.5 is the expected case,
+   not a stale plan).  Nested sub-plans (join inner sides, subqueries)
+   stage without probe points and are therefore not walked. *)
+type rec_op = R_src | R_where of string * float option | R_other
+
+(* Like [Opt.estimator] but honest about provenance: [None] when the
+   store holds no observation for the predicate. *)
+type sel_oracle = { sel : 'a. ('a, bool) Expr.lam -> float option }
+
+let rec query_schema : type a. sel_oracle -> a Query.t -> rec_op list =
+ fun est q ->
+  match q with
+  | Query.Of_array _ | Query.Range _ | Query.Repeat _ -> [ R_src ]
+  | Query.Where (q0, p) ->
+    query_schema est q0 @ [ R_where (Cost.pred_digest p, est.sel p) ]
+  | Query.Select (q0, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Select_i (q0, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Select_q (q0, _, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Where_i (q0, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Where_q (q0, _, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Take (q0, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Skip (q0, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Take_while (q0, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Skip_while (q0, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Select_many (q0, _, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Select_many_result (q0, _, _, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Join (outer, _, _, _, _) -> query_schema est outer @ [ R_other ]
+  | Query.Group_by (q0, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Group_by_elem (q0, _, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Group_by_agg (q0, _, _, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Order_by (q0, _, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Distinct q0 -> query_schema est q0 @ [ R_other ]
+  | Query.Rev q0 -> query_schema est q0 @ [ R_other ]
+  | Query.Materialize q0 -> query_schema est q0 @ [ R_other ]
+
+(* A scalar query's probe points cover only its collection spine (the
+   aggregate itself gets no point), so its schema is the spine's. *)
+let rec sq_schema : type s. sel_oracle -> s Query.sq -> rec_op list =
+ fun est sq ->
+  match sq with
+  | Query.Aggregate (q, _, _) -> query_schema est q
+  | Query.Aggregate_full (q, _, _, _) -> query_schema est q
+  | Query.Aggregate_combinable (q, _, _, _) -> query_schema est q
+  | Query.Sum_int q -> query_schema est q
+  | Query.Sum_float q -> query_schema est q
+  | Query.Count q -> query_schema est q
+  | Query.Average q -> query_schema est q
+  | Query.Min q -> query_schema est q
+  | Query.Max q -> query_schema est q
+  | Query.Min_by (q, _) -> query_schema est q
+  | Query.Max_by (q, _) -> query_schema est q
+  | Query.First q -> query_schema est q
+  | Query.Last q -> query_schema est q
+  | Query.Element_at (q, _) -> query_schema est q
+  | Query.Any q -> query_schema est q
+  | Query.Exists (q, _) -> query_schema est q
+  | Query.For_all (q, _) -> query_schema est q
+  | Query.Contains (q, _) -> query_schema est q
+  | Query.Map_scalar (sq, _) -> sq_schema est sq
+
+(* {1 Query shapes}
+
+   Collection and scalar queries lower to one QUIL grammar and differ
+   only in the final symbol, so the engine has one front half for both,
+   parameterised by the shape's layer functions.  ['q] is the query
+   type, ['r] what a run returns. *)
+type ('q, 'r) shape = {
+  canon : 'q -> Quil.chain;
+  check : 'q -> Check.diagnostic list;
+  optimize : 'q -> 'q * Opt.event list;
+  adapt : Opt.estimator -> split:bool -> 'q -> 'q * Opt.event list;
+  validate :
+    before:'q -> after:'q -> Opt.event list -> Check.Equiv.obligation list;
+  plan_key : optimize:bool -> 'q -> string;
+  schema : sel_oracle -> 'q -> rec_op list;
+  static_rows : 'q -> int option;
+      (* The flow analysis' bound on the plan's rows, the prior for the
+         adaptive backend choice. *)
+  annotate : 'q -> (string * Check_flow.props) list;
+  plan : 'q -> 'r plan;
+  result_rows : 'r -> int option;
+}
+
+module Shape = struct
+  let coll : ('a Query.t, 'a array) shape =
+    {
+      canon = Canon.of_query;
+      check = Check.query;
+      optimize = (fun q -> Opt.query_ev q);
+      adapt = Opt.adaptive_query_ev;
+      validate =
+        (fun ~before ~after evs ->
+          Check.Equiv.validate_query ~before ~after evs);
+      plan_key = Cost.plan_key;
+      schema = query_schema;
+      static_rows =
+        (fun q -> ((Check_flow.props q).Check_flow.card).Check_purity.hi);
+      annotate = Check_flow.annotate;
+      plan =
+        (fun q ->
+          plan_of q
+            ~linq:(fun w q ->
+              let staged = Linq.stage_probed w q in
+              fun env -> Enumerable.to_array (staged env))
+            ~fused:(fun w q ->
+              let staged = Fused.stage_probed w q in
+              fun env -> Fused.materialize (staged env))
+            ~specialize:Specialize.query ~lower:Canon.of_specialized
+            ~of_raw:(fun r : _ array -> Obj.obj r));
+      result_rows = (fun r -> Some (Array.length r));
+    }
+
+  let scalar : ('s Query.sq, 's) shape =
+    {
+      canon = Canon.of_scalar;
+      check = Check.scalar;
+      optimize = (fun sq -> Opt.scalar_ev sq);
+      adapt = Opt.adaptive_scalar_ev;
+      validate =
+        (fun ~before ~after evs ->
+          Check.Equiv.validate_scalar ~before ~after evs);
+      plan_key = Cost.scalar_key;
+      schema = sq_schema;
+      (* No flow prior on the scalar side: the aggregate's own
+         cardinality is one, so only observed source rows can justify
+         skipping the native dispatch. *)
+      static_rows = (fun _ -> None);
+      annotate = Check_flow.annotate_scalar;
+      plan =
+        (fun sq ->
+          plan_of sq ~linq:Linq.stage_sq_probed ~fused:Fused.stage_sq_probed
+            ~specialize:Specialize.scalar ~lower:Canon.of_specialized_scalar
+            ~of_raw:Obj.obj);
+      result_rows = (fun _ -> None);
+    }
+end
+
+(* The static checks: the shape's plan linter, plus an [SC000]
+   diagnostic when the lowered chain fails the PDA (queries outside the
+   QUIL fragment have no chain to verify). *)
+let lint shape x =
+  let pda =
+    match shape.canon x with
+    | exception Canon.Unsupported _ -> []
+    | chain -> (
+      match Check.verify chain with
+      | Ok () -> []
+      | Error msg -> [ Check.malformed msg ])
+  in
+  pda @ shape.check x
 
 (* {1 Configuration} *)
 
@@ -339,25 +476,7 @@ module Config = struct
 end
 
 module Engine = struct
-  (* Re-exported so existing [{ default_config with backend = ... }]
-     record syntax keeps working; [Config.t] with its combinators is the
-     primary construction surface. *)
-  type config = Config.t = {
-    backend : backend;
-    fallback : bool;
-    optimize : bool;
-    compile_timeout_ms : int option;
-    cache_capacity : int;
-    telemetry : Telemetry.sink;
-    profile : bool;
-    metrics : Metrics.t;
-    strict : bool;
-    tiering : Config.tiering option;
-    adaptive : Config.adaptive option;
-    disk_cache : Config.disk_cache option;
-    tracing : Config.tracing option;
-    admin_port : int option;
-  }
+  type config = Config.t
 
   type t = {
     cfg : config;
@@ -418,7 +537,7 @@ module Engine = struct
         "Decisions taken by the cost-based adaptive optimization phase"
       ~labels:[ "decision", decision ]
 
-  let create cfg =
+  let create (cfg : config) =
     let tracer =
       match cfg.tracing with
       | None -> Trace.disabled
@@ -817,16 +936,25 @@ module Engine = struct
           Array.iter
             (fun lbl -> ignore (Metrics.Probe.point pr lbl))
             np.Codegen.probe_labels;
-          Some
-            {
-              prof_backend = Native;
-              prof_probe = pr;
-              prof_native_rows = Some np.Codegen.probe_rows;
-              prof_runs = 0;
-              prof_run_ms = 0.0;
-            }
+          Some (new_profile Native pr (Some np.Codegen.probe_rows))
       in
       Ok ((fun () -> plan.of_raw (raw_run ())), info, prof)
+
+  (* A fresh preparation of [run], profiled when [prof] is set; its
+     [prepare_ms] runs from [t0] to now. *)
+  let make_prep eng ~t0 info prof run =
+    let run =
+      match prof with None -> run | Some p -> wrap_profiled eng p run
+    in
+    {
+      run_fn = traced_run eng.cfg.telemetry info.backend run;
+      p_info = { info with prepare_ms = now_ms () -. t0 };
+      p_rules = [];
+      p_profile = prof;
+      p_diags = [];
+      p_tier = Atomic.make info.backend;
+      p_decisions = [];
+    }
 
   let prep_of_staged eng ~sink ~t0 ~requested ~actual ~fallback staged =
     let probe =
@@ -834,41 +962,40 @@ module Engine = struct
     in
     let ts = now_ms () in
     let run = staged ?probe sink in
-    let staging_ms = now_ms () -. ts in
-    let prof =
-      match probe with
-      | None -> None
-      | Some pr ->
-        Some
-          {
-            prof_backend = actual;
-            prof_probe = pr;
-            prof_native_rows = None;
-            prof_runs = 0;
-            prof_run_ms = 0.0;
-          }
-    in
-    let run =
-      match prof with None -> run | Some p -> wrap_profiled eng p run
-    in
-    {
-      run_fn = traced_run sink actual run;
-      p_info =
-        {
-          backend = actual;
-          requested;
-          cache_hit = false;
-          prepare_ms = now_ms () -. t0;
-          codegen_ms = staging_ms;
-          compile_ms = 0.0;
-          fallback;
-        };
-      p_rules = [];
-      p_profile = prof;
-      p_diags = [];
-      p_tier = Atomic.make actual;
-      p_decisions = [];
-    }
+    let codegen_ms = now_ms () -. ts in
+    make_prep eng ~t0
+      {
+        backend = actual;
+        requested;
+        cache_hit = false;
+        prepare_ms = 0.0;
+        codegen_ms;
+        compile_ms = 0.0;
+        fallback;
+      }
+      (Option.map (fun pr -> new_profile actual pr None) probe)
+      run
+
+  (* The one hot-swap, shared by tier promotion and drift
+     re-preparation.  The first caller to win [started] runs [on_start]
+     and schedules [build] on a pool domain, handing it the current trace
+     context so its spans land in the request that tripped it.  A built
+     run function is published with one atomic store (in-flight runs
+     that loaded the old one finish on it) before [tier] flips;
+     [settled] then learns whether the swap landed. *)
+  let hot_swap eng ~started ~cell ~tier ~span ?(on_start = ignore) ~settled
+      build =
+    if Atomic.compare_and_set started false true then begin
+      on_start ();
+      Domain_pool.async ?ctx:(Trace.current ()) (fun () ->
+          Trace.with_span eng.tracer span @@ fun () ->
+          match build () with
+          | Some (run, backend) ->
+            Atomic.set cell run;
+            Atomic.set tier backend;
+            settled true
+          | None | (exception _) -> settled false)
+    end
 
   let prepare_plan_result (eng : t) ?backend (plan : 'r plan) :
       ('r prep, fallback_reason) result =
@@ -878,27 +1005,23 @@ module Engine = struct
     Telemetry.with_span sink "prepare"
       ~attrs:[ "backend", backend_name requested ]
     @@ fun () ->
-    match requested with
-    | Linq ->
+    match requested, eng.cfg.tiering with
+    | Linq, _ ->
       Ok
         (prep_of_staged eng ~sink ~t0 ~requested ~actual:Linq ~fallback:None
            plan.stage_linq)
-    | Fused ->
+    | Fused, _ ->
       Ok
         (prep_of_staged eng ~sink ~t0 ~requested ~actual:Fused ~fallback:None
            plan.stage_fused)
-    | Native when eng.cfg.tiering <> None && not eng.cfg.profile ->
+    | Native, Some { Config.threshold } when not eng.cfg.profile ->
       (* Tiered execution: return instantly on the staged Fused tier and
          let run-count probes trigger a background Native compile.  Not
          combined with [profile] — the probe points are allocated per
          tier at staging/codegen time, so a hot swap would silently
          split the profile across two point sets; profiled engines keep
          the synchronous path below. *)
-      let threshold =
-        match eng.cfg.tiering with
-        | Some { Config.threshold } -> max 1 threshold
-        | None -> assert false
-      in
+      let threshold = max 1 threshold in
       let base =
         prep_of_staged eng ~sink ~t0 ~requested ~actual:Fused ~fallback:None
           plan.stage_fused
@@ -906,52 +1029,32 @@ module Engine = struct
       let cell = Atomic.make base.run_fn in
       let runs = Atomic.make 0 in
       let started = Atomic.make false in
+      (* [compile_native] goes through the single-flight group and both
+         plugin caches, so concurrent promotions of the same query (even
+         from different prepared handles) cost one compile — and a
+         pcache hit makes promotion nearly free. *)
       let promote () =
-        (* Runs on a pool domain.  [compile_native] goes through the
-           single-flight group and both plugin caches, so concurrent
-           promotions of the same query (even from different prepared
-           handles) cost one compile — and a pcache hit makes promotion
-           nearly free. *)
-        Trace.with_span eng.tracer "tier.promote" @@ fun () ->
         match compile_native eng plan ~t0:(now_ms ()) with
-        | Ok (run, _info, _prof) ->
-          Atomic.set cell (traced_run sink Native run);
-          Atomic.set base.p_tier Native;
-          Telemetry.count sink "tier.promote" 1;
-          Metrics.inc (tier_promotions_c eng "ok")
-        | Error _ -> Metrics.inc (tier_promotions_c eng "failed")
-        | exception _ -> Metrics.inc (tier_promotions_c eng "failed")
+        | Ok (run, _info, _prof) -> Some (traced_run sink Native run, Native)
+        | Error _ -> None
+      in
+      let settled ok =
+        if ok then Telemetry.count sink "tier.promote" 1;
+        Metrics.inc (tier_promotions_c eng (if ok then "ok" else "failed"))
       in
       let run_fn () =
         let n = 1 + Atomic.fetch_and_add runs 1 in
-        if n >= threshold && Atomic.compare_and_set started false true then
-          (* The promotion compile runs later on a pool domain; handing
-             it the current context attributes its spans to the request
-             that tripped the threshold. *)
-          Domain_pool.async ?ctx:(Trace.current ()) promote;
+        if n >= threshold then
+          hot_swap eng ~started ~cell ~tier:base.p_tier ~span:"tier.promote"
+            ~settled promote;
         Trace.annotate eng.tracer
           [ "tier", backend_name (Atomic.get base.p_tier) ];
-        (* In-flight runs that loaded the cell before the swap finish on
-           the old tier; the publication itself is a single atomic. *)
         (Atomic.get cell) ()
       in
       Ok { base with run_fn }
-    | Native -> (
+    | Native, _ -> (
       match compile_native eng plan ~t0 with
-      | Ok (run, info, prof) ->
-        let run =
-          match prof with None -> run | Some p -> wrap_profiled eng p run
-        in
-        Ok
-          {
-            run_fn = traced_run sink Native run;
-            p_info = { info with prepare_ms = now_ms () -. t0 };
-            p_rules = [];
-            p_profile = prof;
-            p_diags = [];
-            p_tier = Atomic.make Native;
-            p_decisions = [];
-          }
+      | Ok (run, info, prof) -> Ok (make_prep eng ~t0 info prof run)
       | Error reason when eng.cfg.fallback ->
         Telemetry.count sink "engine.fallback" 1;
         Telemetry.emit sink "fallback"
@@ -974,92 +1077,88 @@ module Engine = struct
   let event_names events =
     List.map (fun (e : Opt.event) -> e.Opt.ev_rule) events
 
-  (* AST-level rewriting, as its own telemetry span, followed by
-     translation validation of the rewrite log.  [opt] is [Opt.query_ev]
-     or [Opt.scalar_ev] and [validate] the matching [Check.Equiv]
-     entry point, kept abstract so collection and scalar preparation
-     share this.
+  (* One rewrite pass under translation validation: [rewrite] runs under
+     an ["optimize"] span at [level]; when it fired, [validate] replays
+     its event log under a ["verify"] span and the outcome is counted.
 
      The optimizer is not trusted: every firing carries the facts that
      justified it, and the validator re-derives them on the captured
-     terms.  An undischarged obligation rejects the optimized plan — the
-     engine falls back to the plan as written (surfacing an [SC012]
+     terms.  An undischarged obligation rejects the rewritten plan; each
+     caller then falls back to the plan as given (surfacing an [SC012]
      diagnostic) or, when [strict], refuses the preparation outright. *)
-  let optimize_verified eng opt validate q =
-    if not eng.cfg.optimize then Ok (q, [], [])
-    else begin
-      let sink = eng.cfg.telemetry in
-      let q', events =
-        Telemetry.with_span sink "optimize"
-          ~attrs:[ "level", "ast" ]
-          (fun () -> opt q)
-      in
+  type 'x pass =
+    | Unchanged of 'x
+    | Accepted of 'x * Opt.event list
+    | Rejected of Check.diagnostic
+
+  let validated_pass eng ~level ~count_rules rewrite validate =
+    let sink = eng.cfg.telemetry in
+    let x', events =
+      Telemetry.with_span sink "optimize" ~attrs:[ "level", level ] rewrite
+    in
+    if count_rules then
       Telemetry.count sink "optimize.rules_applied" (List.length events);
-      if events = [] then Ok (q', [], [])
+    if events = [] then Unchanged x'
+    else begin
+      let obligations =
+        Telemetry.with_span sink "verify" ~attrs:[ "level", level ] (fun () ->
+            validate x' events)
+      in
+      if Check.Equiv.accepted obligations then begin
+        count_verify eng "accepted";
+        Accepted (x', events)
+      end
       else begin
-        let obligations =
-          Telemetry.with_span sink "verify"
-            ~attrs:[ "level", "ast" ]
-            (fun () -> validate q q' events)
-        in
-        if Check.Equiv.accepted obligations then begin
-          count_verify eng "accepted";
-          Ok (q', event_names events, [])
-        end
-        else begin
-          count_verify eng "rejected";
-          let detail =
-            String.concat "; " (Check.Equiv.failures obligations)
-          in
-          let d = Check.rejected_rewrite detail in
-          if eng.cfg.strict then Error [ d ] else Ok (q, [], [ d ])
-        end
+        count_verify eng "rejected";
+        Rejected
+          (Check.rejected_rewrite
+             (String.concat "; " (Check.Equiv.failures obligations)))
       end
     end
 
-  (* Hook the QUIL chain pass into a plan.  The chain is only built on
-     the Native path, and synchronously within [prepare_plan], so the
-     returned ref holds the fired chain rules by the time the
-     preparation exists.  The chain rewrite log is validated the same
-     way as the AST one; a rejection falls back to the un-rewritten
-     chain (strict raises {!Check_failed} out of the preparation). *)
+  (* The AST pass: the syntactic rewrite fixpoint. *)
+  let optimize_verified eng shape q =
+    if not eng.cfg.optimize then Ok (q, [], [])
+    else
+      match
+        validated_pass eng ~level:"ast" ~count_rules:true
+          (fun () -> shape.optimize q)
+          (fun q' evs -> shape.validate ~before:q ~after:q' evs)
+      with
+      | Unchanged q' -> Ok (q', [], [])
+      | Accepted (q', evs) -> Ok (q', event_names evs, [])
+      | Rejected d -> if eng.cfg.strict then Error [ d ] else Ok (q, [], [ d ])
+
+  (* The QUIL chain pass; a rejection falls back to the un-rewritten
+     chain (strict raises {!Check_failed}).  Returns the chain and the
+     rules that fired. *)
+  let chain_pass eng c =
+    if not eng.cfg.optimize then c, []
+    else
+      match
+        validated_pass eng ~level:"quil" ~count_rules:true
+          (fun () -> Opt.chain_ev c)
+          (fun c' evs -> Check.Equiv.validate_chain ~before:c ~after:c' evs)
+      with
+      | Unchanged _ -> c, []
+      | Accepted (c', evs) -> c', event_names evs
+      | Rejected d -> if eng.cfg.strict then raise (Check_failed [ d ]) else c, []
+
+  (* Hook the chain pass into a plan, followed by the PDA
+     well-formedness assertion on the chain the Native path is about to
+     codegen, so it guards the optimizer's output, not just the
+     builders'.  The chain is only built on the Native path, and
+     synchronously within [prepare_plan_result], so the returned ref
+     holds the fired chain rules by the time the preparation exists. *)
   let with_chain_pass eng plan =
-    if not eng.cfg.optimize then plan, ref []
-    else begin
-      let fired = ref [] in
-      let chain sink =
-        let c = plan.chain sink in
-        let c', events =
-          Telemetry.with_span sink "optimize"
-            ~attrs:[ "level", "quil" ]
-            (fun () -> Opt.chain_ev c)
-        in
-        Telemetry.count sink "optimize.rules_applied" (List.length events);
-        if events = [] then c
-        else begin
-          let obligations =
-            Telemetry.with_span sink "verify"
-              ~attrs:[ "level", "quil" ]
-              (fun () -> Check.Equiv.validate_chain ~before:c ~after:c' events)
-          in
-          if Check.Equiv.accepted obligations then begin
-            count_verify eng "accepted";
-            fired := event_names events;
-            c'
-          end
-          else begin
-            count_verify eng "rejected";
-            let detail =
-              String.concat "; " (Check.Equiv.failures obligations)
-            in
-            if eng.cfg.strict then
-              raise (Check_failed [ Check.rejected_rewrite detail ])
-            else c
-          end
-        end
-      in
-      { plan with chain }, fired
-    end
+    let fired = ref [] in
+    let chain sink =
+      let c, rules = chain_pass eng (plan.chain sink) in
+      fired := rules;
+      Check.assert_well_formed c;
+      c
+    in
+    { plan with chain }, fired
 
   (* {2 Adaptive (cost-based) optimization}
 
@@ -1100,79 +1199,12 @@ module Engine = struct
           | None -> static_selectivity lam);
     }
 
-  (* The recording schema: the probed operator spine of the plan that
-     will actually execute, in probe-point order (source first), with
-     each [Where]'s digest and the measured selectivity this preparation
-     assumed for it — [None] when the assumption was only the static
-     prior, so drift detection never fires against a guess (a fresh
-     query whose true selectivity is far from 0.5 is the expected case,
-     not a stale plan).  Nested sub-plans (join inner sides, subqueries)
-     stage without probe points and are therefore not walked. *)
-  type rec_op = R_src | R_where of string * float option | R_other
-
-  (* Like [Opt.estimator] but honest about provenance: [None] when the
-     store holds no observation for the predicate. *)
-  type sel_oracle = { sel : 'a. ('a, bool) Expr.lam -> float option }
-
   let oracle_for eng ~key =
     {
       sel =
         (fun lam ->
           Cost.selectivity eng.cost ~key ~digest:(Cost.pred_digest lam));
     }
-
-  let rec query_schema : type a. sel_oracle -> a Query.t -> rec_op list =
-   fun est q ->
-    match q with
-    | Query.Of_array _ | Query.Range _ | Query.Repeat _ -> [ R_src ]
-    | Query.Where (q0, p) ->
-      query_schema est q0
-      @ [ R_where (Cost.pred_digest p, est.sel p) ]
-    | Query.Select (q0, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Select_i (q0, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Select_q (q0, _, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Where_i (q0, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Where_q (q0, _, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Take (q0, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Skip (q0, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Take_while (q0, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Skip_while (q0, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Select_many (q0, _, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Select_many_result (q0, _, _, _) ->
-      query_schema est q0 @ [ R_other ]
-    | Query.Join (outer, _, _, _, _) -> query_schema est outer @ [ R_other ]
-    | Query.Group_by (q0, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Group_by_elem (q0, _, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Group_by_agg (q0, _, _, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Order_by (q0, _, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Distinct q0 -> query_schema est q0 @ [ R_other ]
-    | Query.Rev q0 -> query_schema est q0 @ [ R_other ]
-    | Query.Materialize q0 -> query_schema est q0 @ [ R_other ]
-
-  (* A scalar query's probe points cover only its collection spine (the
-     aggregate itself gets no point), so its schema is the spine's. *)
-  let rec sq_schema : type s. sel_oracle -> s Query.sq -> rec_op list =
-   fun est sq ->
-    match sq with
-    | Query.Aggregate (q, _, _) -> query_schema est q
-    | Query.Aggregate_full (q, _, _, _) -> query_schema est q
-    | Query.Aggregate_combinable (q, _, _, _) -> query_schema est q
-    | Query.Sum_int q -> query_schema est q
-    | Query.Sum_float q -> query_schema est q
-    | Query.Count q -> query_schema est q
-    | Query.Average q -> query_schema est q
-    | Query.Min q -> query_schema est q
-    | Query.Max q -> query_schema est q
-    | Query.Min_by (q, _) -> query_schema est q
-    | Query.Max_by (q, _) -> query_schema est q
-    | Query.First q -> query_schema est q
-    | Query.Last q -> query_schema est q
-    | Query.Element_at (q, _) -> query_schema est q
-    | Query.Any q -> query_schema est q
-    | Query.Exists (q, _) -> query_schema est q
-    | Query.For_all (q, _) -> query_schema est q
-    | Query.Contains (q, _) -> query_schema est q
-    | Query.Map_scalar (sq, _) -> sq_schema est sq
 
   (* Positional compatibility between the schema and the probe labels
      the executing backend actually allocated.  The staged backends
@@ -1199,42 +1231,27 @@ module Engine = struct
         | _ -> None)
       events
 
-  (* Run the adaptive rewrite and validate its event log, mirroring
-     [optimize_verified]: accepted → the re-sorted plan plus display
-     decisions; rejected → fall back to the plan as given (SC012), or
-     refuse outright under [strict]. *)
-  let adaptive_rewrite eng ~est ~adapt ~validate q =
-    let sink = eng.cfg.telemetry in
+  (* The adaptive pass, validated like the AST one: accepted → the
+     re-sorted plan plus display decisions; rejected → the plan as given
+     (SC012), or a refusal under [strict]. *)
+  let adaptive_rewrite eng ~est shape q =
     let split = eng.cfg.profile in
-    let q', events =
-      Telemetry.with_span sink "optimize"
-        ~attrs:[ "level", "adaptive" ]
-        (fun () -> adapt est ~split q)
-    in
-    if events = [] then
+    match
+      validated_pass eng ~level:"adaptive" ~count_rules:false
+        (fun () -> shape.adapt est ~split q)
+        (fun q' evs -> shape.validate ~before:q ~after:q' evs)
+    with
+    | Unchanged q' ->
       (* Nothing moved.  [q'] may still differ from [q] under profiling
          (pure conjuncts split into stacked filters so each gets its own
          probe point) — an eventless structural identity. *)
       Ok ((if split then q' else q), [], [], [])
-    else begin
-      let obligations =
-        Telemetry.with_span sink "verify"
-          ~attrs:[ "level", "adaptive" ]
-          (fun () -> validate q q' events)
-      in
-      if Check.Equiv.accepted obligations then begin
-        count_verify eng "accepted";
-        List.iter (fun _ -> Metrics.inc (adaptive_c eng "reorder")) events;
-        Ok (q', event_names events, [], reorder_decisions events)
-      end
-      else begin
-        count_verify eng "rejected";
-        Metrics.inc (adaptive_c eng "rejected");
-        let detail = String.concat "; " (Check.Equiv.failures obligations) in
-        let d = Check.rejected_rewrite detail in
-        if eng.cfg.strict then Error [ d ] else Ok (q, [], [ d ], [])
-      end
-    end
+    | Accepted (q', evs) ->
+      List.iter (fun _ -> Metrics.inc (adaptive_c eng "reorder")) evs;
+      Ok (q', event_names evs, [], reorder_decisions evs)
+    | Rejected d ->
+      Metrics.inc (adaptive_c eng "rejected");
+      if eng.cfg.strict then Error [ d ] else Ok (q, [], [ d ], [])
 
   (* Cost-based backend choice: when the engine would dispatch to
      Native, a plan whose estimated input is tiny stays on the staged
@@ -1304,18 +1321,22 @@ module Engine = struct
             schema
         in
         let last = Array.make n 0 in
-        let swapped : (unit -> 'r) option Atomic.t = Atomic.make None in
-        let reprep_started = Atomic.make false in
-        let base = p.run_fn in
+        let started = Atomic.make false in
+        let cell = Atomic.make p.run_fn in
         let reprepare () =
-          Trace.with_span eng.tracer "adaptive.reprepare" @@ fun () ->
           match rebuild () with
-          | Ok p' ->
-            Atomic.set swapped (Some p'.run_fn);
-            Atomic.set p.p_tier (Atomic.get p'.p_tier);
-            Metrics.inc (adaptive_c eng "reprepare-ok")
-          | Error _ -> Metrics.inc (adaptive_c eng "reprepare-failed")
-          | exception _ -> Metrics.inc (adaptive_c eng "reprepare-failed")
+          | Ok p' -> Some (p'.run_fn, Atomic.get p'.p_tier)
+          | Error _ -> None
+        in
+        let settled ok =
+          Metrics.inc
+            (adaptive_c eng (if ok then "reprepare-ok" else "reprepare-failed"))
+        in
+        (* Retire before seeding: the flipped distribution must not blend
+           with the history that misled this preparation. *)
+        let on_start () =
+          Metrics.inc (adaptive_c eng "drift");
+          Cost.retire eng.cost ~key
         in
         let observe () =
           let deltas =
@@ -1325,7 +1346,7 @@ module Engine = struct
                 max 0 d)
           in
           let drifted = ref false in
-          if assumptions_live && not (Atomic.get reprep_started) then
+          if assumptions_live && not (Atomic.get started) then
             Array.iteri
               (fun i op ->
                 match op with
@@ -1340,19 +1361,9 @@ module Engine = struct
                   end
                 | _ -> ())
               schema;
-          if
-            !drifted
-            && Atomic.compare_and_set reprep_started false true
-          then begin
-            Metrics.inc (adaptive_c eng "drift");
-            (* Retire before seeding: the flipped distribution must not
-               blend with the history that misled this preparation. *)
-            Cost.retire eng.cost ~key;
-            (* The re-prepare compiles later on a pool domain, through
-               the full prepare pipeline (checks, rewrite, validation,
-               caches). *)
-            Domain_pool.async ?ctx:(Trace.current ()) reprepare
-          end;
+          if !drifted then
+            hot_swap eng ~started ~cell ~tier:p.p_tier
+              ~span:"adaptive.reprepare" ~on_start ~settled reprepare;
           let pred_deltas =
             let acc = ref [] in
             Array.iteri
@@ -1372,15 +1383,11 @@ module Engine = struct
           in
           Cost.record eng.cost ~key ~source_rows:deltas.(0) pred_deltas
         in
-        let run_fn () =
-          match Atomic.get swapped with
-          | Some f -> f ()
-          | None ->
-            let r = base () in
+        Atomic.set cell (fun () ->
+            let r = p.run_fn () in
             (try observe () with _ -> ());
-            r
-        in
-        { p with run_fn }
+            r);
+        { p with run_fn = (fun () -> (Atomic.get cell) ()) }
       end
 
   (* {2 Static checks} *)
@@ -1441,39 +1448,25 @@ module Engine = struct
       | errs -> Error errs
     else Ok diags
 
-  let run_checks eng lint =
-    match run_checks_result eng lint with
-    | Ok diags -> diags
-    | Error errs -> raise (Check_failed errs)
+  (* The chain [x] lowers to after the QUIL rewrite pass; [None]
+     outside the QUIL fragment. *)
+  let rewritten_chain eng shape x =
+    match shape.canon x with
+    | exception Canon.Unsupported _ -> None
+    | c -> Some (if eng.cfg.optimize then fst (Opt.chain c) else c)
 
-  (* The PDA well-formedness assertion on the chain the Native path is
-     about to codegen — after canonicalization and the QUIL rewrite
-     pass, so it guards the optimizer's output, not just the
-     builders'. *)
-  let with_verified_chain plan =
-    {
-      plan with
-      chain =
-        (fun sink ->
-          let c = plan.chain sink in
-          Check.assert_well_formed c;
-          c);
-    }
-
-  (* Satellite to [with_verified_chain]: that assertion only fires when
-     the Native path actually builds the chain, so on the interpreted
-     backends a malformed post-optimization chain would go unnoticed.
-     On a [strict] engine, run the PDA acceptance eagerly on every
-     prepare — on the chain as it will be after the QUIL rewrite pass,
-     whatever backend executes.  Queries outside the QUIL fragment have
-     no chain to check. *)
-  let strict_pda eng canon_of x =
+  (* The PDA assertion in [with_chain_pass] only fires when the Native
+     path actually builds the chain, so on the interpreted backends a
+     malformed post-optimization chain would go unnoticed.  On a
+     [strict] engine, run the PDA acceptance eagerly on every prepare —
+     on the chain as it will be after the QUIL rewrite pass, whatever
+     backend executes. *)
+  let strict_pda eng shape x =
     if not eng.cfg.strict then Ok ()
     else
-      match canon_of x with
-      | exception Canon.Unsupported _ -> Ok ()
-      | c -> (
-        let c = if eng.cfg.optimize then fst (Opt.chain c) else c in
+      match rewritten_chain eng shape x with
+      | None -> Ok ()
+      | Some c -> (
         Metrics.inc
           (Metrics.counter eng.cfg.metrics "steno_pda_checks"
              ~help:"Strict-mode PDA acceptance checks at prepare time"
@@ -1482,21 +1475,14 @@ module Engine = struct
         | Ok () -> Ok ()
         | Error msg -> Error [ Check.malformed msg ])
 
-  (* An [SC000] diagnostic when the lowered chain fails the PDA.  Queries
-     outside the QUIL fragment have no chain to verify. *)
-  let chain_diags of_canon x =
-    match of_canon x with
-    | exception Canon.Unsupported _ -> []
-    | chain -> (
-      match Check.verify chain with
-      | Ok () -> []
-      | Error msg -> [ Check.malformed msg ])
+  let check_as shape eng x =
+    match run_checks_result eng (fun () -> lint shape x) with
+    | Ok diags -> diags
+    | Error errs -> raise (Check_failed errs)
 
-  let check eng q =
-    run_checks eng (fun () -> chain_diags Canon.of_query q @ Check.query q)
+  let check eng q = check_as Shape.coll eng q
 
-  let check_scalar eng sq =
-    run_checks eng (fun () -> chain_diags Canon.of_scalar sq @ Check.scalar sq)
+  let check_scalar eng sq = check_as Shape.scalar eng sq
 
   (* {2 Preparing} *)
 
@@ -1517,197 +1503,102 @@ module Engine = struct
      the slow-query log can show {e what} ran, not just how long.  Costs
      a canonicalization, so only under an active trace; queries outside
      the QUIL fragment simply have no plan attribute. *)
-  let annotate_plan eng canon_of x =
+  let annotate_plan eng shape x =
     if Trace.enabled eng.tracer && Trace.current () <> None then
-      match canon_of x with
-      | exception _ -> ()
-      | c ->
-        let c = if eng.cfg.optimize then fst (Opt.chain c) else c in
-        Trace.annotate eng.tracer [ "plan", Quil.symbol_string c ]
+      match rewritten_chain eng shape x with
+      | Some c -> Trace.annotate eng.tracer [ "plan", Quil.symbol_string c ]
+      | None | (exception _) -> ()
+
+  (* The front half every entry point shares: lint, then the syntactic
+     rewrite fixpoint under translation validation.  Returns the plan to
+     carry on with, the AST rules that survived validation, and the
+     rejected-rewrite and lint diagnostics (both already recorded). *)
+  let front eng shape x =
+    match run_checks_result eng (fun () -> lint shape x) with
+    | Error errs -> Error errs
+    | Ok diags ->
+      Result.map
+        (fun (x', rules, verify_diags) ->
+          record_diagnostics eng verify_diags;
+          x', rules, verify_diags, diags)
+        (optimize_verified eng shape x)
 
   (* [rec]: a drift re-preparation re-enters this function from a pool
      domain with the original query (and requested backend), so the
      replacement plan goes through the whole pipeline — checks, the
      syntactic fixpoint, a fresh adaptive pass over the post-drift
      statistics, validation, and both plugin caches. *)
-  let rec try_prepare : 'a. ?backend:backend -> t -> 'a Query.t ->
-      ('a array prep, error) result =
-   fun ?backend eng q_orig ->
-    let q = q_orig in
-    match
-      run_checks_result eng (fun () ->
-          chain_diags Canon.of_query q @ Check.query q)
-    with
-    | Error errs -> Error (Check_error errs)
-    | Ok diags -> (
-      match
-        optimize_verified eng Opt.query_ev
-          (fun before after evs ->
-            Check.Equiv.validate_query ~before ~after evs)
-          q
-      with
-      | Error errs -> Error (Check_error errs)
-      | Ok (q, ast_rules, verify_diags) -> (
-        record_diagnostics eng verify_diags;
-        (* The plan key is taken after the syntactic fixpoint but before
-           the adaptive pass: the fixpoint is deterministic, so a drift
-           re-preparation lands on the same key, while the key never
-           depends on the statistics-driven ordering it feeds. *)
-        let actx =
-          match eng.cfg.adaptive with
-          | None -> None
-          | Some a ->
-            let key = Cost.plan_key ~optimize:eng.cfg.optimize q in
-            Some (a, key, estimator_for eng ~key)
-        in
-        let adaptive =
-          match actx with
-          | None -> Ok (q, [], [], [])
-          | Some (_, _, est) ->
-            adaptive_rewrite eng ~est
-              ~adapt:(fun e ~split q -> Opt.adaptive_query_ev e ~split q)
-              ~validate:(fun before after evs ->
-                Check.Equiv.validate_query ~before ~after evs)
-              q
-        in
-        match adaptive with
-        | Error errs -> Error (Check_error errs)
-        | Ok (q, ad_rules, ad_diags, ad_decisions) -> (
-          record_diagnostics eng ad_diags;
-          match strict_pda eng Canon.of_query q with
-          | Error errs -> Error (Check_error errs)
-          | Ok () -> (
-            annotate_plan eng Canon.of_query q;
-            let plan, chain_rules = with_chain_pass eng (query_plan q) in
-            let backend', be_decisions =
-              match actx with
-              | Some (_, key, _) ->
-                backend_choice eng ~key
-                  ~static_rows:(fun () ->
-                    ((Check_flow.props q).Check_flow.card).Check_purity.hi)
-                  backend
-              | None -> backend, []
-            in
-            match
-              prepare_plan_result eng ?backend:backend'
-                (with_verified_chain plan)
-            with
-            | Error reason -> Error (Compile_failure reason)
-            | Ok p ->
-              let p =
-                {
-                  p with
-                  p_rules =
-                    dedup_consecutive (ast_rules @ ad_rules @ !chain_rules);
-                  p_diags = verify_diags @ ad_diags @ diags;
-                  p_decisions = ad_decisions @ be_decisions;
-                }
-              in
-              let p =
-                match actx with
-                | Some (a, key, _) when eng.cfg.profile ->
-                  wrap_adaptive eng a ~key
-                    ~schema:(query_schema (oracle_for eng ~key) q)
-                    ~rebuild:(fun () -> try_prepare ?backend eng q_orig)
-                    p
-                | _ -> p
-              in
-              Ok p))))
-
-  let rec try_prepare_scalar : 's. ?backend:backend -> t -> 's Query.sq ->
-      ('s prep, error) result =
-   fun ?backend eng sq_orig ->
-    let sq = sq_orig in
-    match
-      run_checks_result eng (fun () ->
-          chain_diags Canon.of_scalar sq @ Check.scalar sq)
-    with
-    | Error errs -> Error (Check_error errs)
-    | Ok diags -> (
-      match
-        optimize_verified eng Opt.scalar_ev
-          (fun before after evs ->
-            Check.Equiv.validate_scalar ~before ~after evs)
-          sq
-      with
-      | Error errs -> Error (Check_error errs)
-      | Ok (sq, ast_rules, verify_diags) -> (
-        record_diagnostics eng verify_diags;
-        let actx =
-          match eng.cfg.adaptive with
-          | None -> None
-          | Some a ->
-            let key = Cost.scalar_key ~optimize:eng.cfg.optimize sq in
-            Some (a, key, estimator_for eng ~key)
-        in
-        let adaptive =
-          match actx with
-          | None -> Ok (sq, [], [], [])
-          | Some (_, _, est) ->
-            adaptive_rewrite eng ~est
-              ~adapt:(fun e ~split sq -> Opt.adaptive_scalar_ev e ~split sq)
-              ~validate:(fun before after evs ->
-                Check.Equiv.validate_scalar ~before ~after evs)
-              sq
-        in
-        match adaptive with
-        | Error errs -> Error (Check_error errs)
-        | Ok (sq, ad_rules, ad_diags, ad_decisions) -> (
-          record_diagnostics eng ad_diags;
-          match strict_pda eng Canon.of_scalar sq with
-          | Error errs -> Error (Check_error errs)
-          | Ok () -> (
-            annotate_plan eng Canon.of_scalar sq;
-            let plan, chain_rules = with_chain_pass eng (scalar_plan sq) in
-            let backend', be_decisions =
-              match actx with
-              | Some (_, key, _) ->
-                (* No flow prior on the scalar side: the aggregate's own
-                   cardinality is one, so only observed source rows can
-                   justify skipping the native dispatch. *)
-                backend_choice eng ~key ~static_rows:(fun () -> None) backend
-              | None -> backend, []
-            in
-            match
-              prepare_plan_result eng ?backend:backend'
-                (with_verified_chain plan)
-            with
-            | Error reason -> Error (Compile_failure reason)
-            | Ok p ->
-              let p =
-                {
-                  p with
-                  p_rules =
-                    dedup_consecutive (ast_rules @ ad_rules @ !chain_rules);
-                  p_diags = verify_diags @ ad_diags @ diags;
-                  p_decisions = ad_decisions @ be_decisions;
-                }
-              in
-              let p =
-                match actx with
-                | Some (a, key, _) when eng.cfg.profile ->
-                  wrap_adaptive eng a ~key
-                    ~schema:(sq_schema (oracle_for eng ~key) sq)
-                    ~rebuild:(fun () -> try_prepare_scalar ?backend eng sq_orig)
-                    p
-                | _ -> p
-              in
-              Ok p))))
+  let rec try_prepare_as shape ?backend eng x_orig =
+    let ( let* ) r f =
+      match r with Error errs -> Error (Check_error errs) | Ok v -> f v
+    in
+    let* x, ast_rules, verify_diags, diags = front eng shape x_orig in
+    (* The plan key is taken after the syntactic fixpoint but before the
+       adaptive pass: the fixpoint is deterministic, so a drift
+       re-preparation lands on the same key, while the key never depends
+       on the statistics-driven ordering it feeds. *)
+    let actx =
+      match eng.cfg.adaptive with
+      | None -> None
+      | Some a ->
+        let key = shape.plan_key ~optimize:eng.cfg.optimize x in
+        Some (a, key, estimator_for eng ~key)
+    in
+    let* x, ad_rules, ad_diags, ad_decisions =
+      match actx with
+      | None -> Ok (x, [], [], [])
+      | Some (_, _, est) -> adaptive_rewrite eng ~est shape x
+    in
+    record_diagnostics eng ad_diags;
+    let* () = strict_pda eng shape x in
+    annotate_plan eng shape x;
+    let plan, chain_rules = with_chain_pass eng (shape.plan x) in
+    let backend', be_decisions =
+      match actx with
+      | Some (_, key, _) ->
+        backend_choice eng ~key
+          ~static_rows:(fun () -> shape.static_rows x)
+          backend
+      | None -> backend, []
+    in
+    match prepare_plan_result eng ?backend:backend' plan with
+    | Error reason -> Error (Compile_failure reason)
+    | Ok p ->
+      let p =
+        {
+          p with
+          p_rules = dedup_consecutive (ast_rules @ ad_rules @ !chain_rules);
+          p_diags = verify_diags @ ad_diags @ diags;
+          p_decisions = ad_decisions @ be_decisions;
+        }
+      in
+      Ok
+        (match actx with
+        | Some (a, key, _) when eng.cfg.profile ->
+          wrap_adaptive eng a ~key
+            ~schema:(shape.schema (oracle_for eng ~key) x)
+            ~rebuild:(fun () -> try_prepare_as shape ?backend eng x_orig)
+            p
+        | _ -> p)
 
   let raise_error = function
     | Check_error errs -> raise (Check_failed errs)
     | Compile_failure reason ->
       raise (Dynload.Compilation_failed (fallback_reason_message reason))
 
-  let prepare ?backend eng q =
-    match try_prepare ?backend eng q with
+  let prepare_as shape ?backend eng x =
+    match try_prepare_as shape ?backend eng x with
     | Ok p -> p
     | Error e -> raise_error e
 
-  let prepare_scalar ?backend eng sq =
-    match try_prepare_scalar ?backend eng sq with
-    | Ok p -> p
-    | Error e -> raise_error e
+  let try_prepare ?backend eng q = try_prepare_as Shape.coll ?backend eng q
+
+  let try_prepare_scalar ?backend eng sq =
+    try_prepare_as Shape.scalar ?backend eng sq
+
+  let prepare ?backend eng q = prepare_as Shape.coll ?backend eng q
+
+  let prepare_scalar ?backend eng sq = prepare_as Shape.scalar ?backend eng sq
 
   let to_array ?backend eng q = (prepare ?backend eng q).run_fn ()
 
@@ -1727,49 +1618,45 @@ module Engine = struct
     diagnostics : Check.diagnostic list;
   }
 
-  let rendered_props anns =
-    List.map
-      (fun (label, p) -> label, Check_flow.props_string p)
-      anns
+  (* What [prepare] would do, from the same front half and chain pass:
+     a rewrite the validator rejects is reported as [SC012] and leaves
+     the plan as written.  Explaining never refuses and records nothing,
+     so it runs on a view of the engine with strictness off, a null
+     sink and a throwaway registry. *)
+  let explain_as shape eng x =
+    let eng =
+      {
+        eng with
+        cfg =
+          {
+            eng.cfg with
+            strict = false;
+            telemetry = Telemetry.null;
+            metrics = Metrics.create ();
+          };
+      }
+    in
+    let before = shape.canon x in
+    match front eng shape x with
+    | Error _ -> assert false (* only strict engines refuse *)
+    | Ok (x', ast_rules, verify_diags, diags) ->
+      let after, chain_rules = chain_pass eng (shape.canon x') in
+      {
+        quil_before = Quil.symbol_string before;
+        quil_after = Quil.symbol_string after;
+        operators_before = Quil.operator_count before;
+        operators_after = Quil.operator_count after;
+        rules = dedup_consecutive (ast_rules @ chain_rules);
+        properties =
+          List.map
+            (fun (label, p) -> label, Check_flow.props_string p)
+            (shape.annotate x');
+        diagnostics = verify_diags @ diags;
+      }
 
-  let explain_chains eng ~before ~after_canon ~ast_rules ~properties
-      ~diagnostics =
-    let after, chain_rules =
-      if eng.cfg.optimize then Opt.chain after_canon else after_canon, []
-    in
-    {
-      quil_before = Quil.symbol_string before;
-      quil_after = Quil.symbol_string after;
-      operators_before = Quil.operator_count before;
-      operators_after = Quil.operator_count after;
-      rules = dedup_consecutive (ast_rules @ chain_rules);
-      properties;
-      diagnostics;
-    }
+  let explain eng q = explain_as Shape.coll eng q
 
-  let explain eng q =
-    let before = Canon.of_query q in
-    let q', ast_rules =
-      if eng.cfg.optimize then Opt.query q else q, []
-    in
-    let after_canon =
-      if eng.cfg.optimize then Canon.of_query q' else before
-    in
-    explain_chains eng ~before ~after_canon ~ast_rules
-      ~properties:(rendered_props (Check_flow.annotate q'))
-      ~diagnostics:(Check.query q)
-
-  let explain_scalar eng sq =
-    let before = Canon.of_scalar sq in
-    let sq', ast_rules =
-      if eng.cfg.optimize then Opt.scalar sq else sq, []
-    in
-    let after_canon =
-      if eng.cfg.optimize then Canon.of_scalar sq' else before
-    in
-    explain_chains eng ~before ~after_canon ~ast_rules
-      ~properties:(rendered_props (Check_flow.annotate_scalar sq'))
-      ~diagnostics:(Check.scalar sq)
+  let explain_scalar eng sq = explain_as Shape.scalar eng sq
 
   let explain_to_string ex =
     let b = Buffer.create 256 in
@@ -1799,18 +1686,18 @@ module Engine = struct
 
   (* {2 Verify} *)
 
-  (* Replay the whole optimization pipeline on [q] and return every
+  (* Replay the whole optimization pipeline on [x] and return every
      proof obligation the translation validator discharges for it: the
      AST rewrite log first, then (when the optimized plan lowers into
      the QUIL fragment) the chain rewrite log.  An engine with
      [optimize = false] fires no rewrites and so owes no obligations. *)
-  let verify_obligations of_canon eng opt validate x =
+  let verify_as shape eng x =
     if not eng.cfg.optimize then []
     else begin
-      let x', events = opt x in
-      let ast = validate x x' events in
+      let x', events = shape.optimize x in
+      let ast = shape.validate ~before:x ~after:x' events in
       let chain_obs =
-        match of_canon x' with
+        match shape.canon x' with
         | exception Canon.Unsupported _ -> []
         | c ->
           let c', cev = Opt.chain_ev c in
@@ -1819,16 +1706,9 @@ module Engine = struct
       ast @ chain_obs
     end
 
-  let verify eng q =
-    verify_obligations Canon.of_query eng Opt.query_ev
-      (fun before after evs -> Check.Equiv.validate_query ~before ~after evs)
-      q
+  let verify eng q = verify_as Shape.coll eng q
 
-  let verify_scalar eng sq =
-    verify_obligations Canon.of_scalar eng Opt.scalar_ev
-      (fun before after evs ->
-        Check.Equiv.validate_scalar ~before ~after evs)
-      sq
+  let verify_scalar eng sq = verify_as Shape.scalar eng sq
 
   (* {2 Explain analyze} *)
 
@@ -1847,7 +1727,11 @@ module Engine = struct
     if eng.cfg.profile then eng
     else { eng with cfg = { eng.cfg with profile = true } }
 
-  let analysis_of_prep ~requested ~explanation ~result_rows (p : _ prep) =
+  let explain_analyze_as shape ?backend eng x =
+    let requested = Option.value backend ~default:eng.cfg.backend in
+    let explanation = explain_as shape eng x in
+    let p = prepare_as shape ?backend (force_profile eng) x in
+    let result_rows = shape.result_rows (p.run_fn ()) in
     let prof =
       match p.p_profile with
       | Some prof -> profile_snapshot prof
@@ -1870,19 +1754,10 @@ module Engine = struct
     }
 
   let explain_analyze ?backend eng q =
-    let requested = Option.value backend ~default:eng.cfg.backend in
-    let explanation = explain eng q in
-    let p = prepare ?backend (force_profile eng) q in
-    let r = p.run_fn () in
-    analysis_of_prep ~requested ~explanation
-      ~result_rows:(Some (Array.length r)) p
+    explain_analyze_as Shape.coll ?backend eng q
 
   let explain_analyze_scalar ?backend eng sq =
-    let requested = Option.value backend ~default:eng.cfg.backend in
-    let explanation = explain_scalar eng sq in
-    let p = prepare_scalar ?backend (force_profile eng) sq in
-    ignore (p.run_fn ());
-    analysis_of_prep ~requested ~explanation ~result_rows:None p
+    explain_analyze_as Shape.scalar ?backend eng sq
 
   let analysis_to_string a =
     let b = Buffer.create 512 in
@@ -1959,23 +1834,9 @@ module Session = struct
     let cur = Atomic.get cell in
     if not (Atomic.compare_and_set cell cur (cur +. x)) then add_float cell x
 
-  let create ?backend ?optimize ?profile ?strict ?config ?(labels = [])
-      engine ~client_id =
-    let cfg = Engine.config engine in
-    let cfg =
-      {
-        cfg with
-        Engine.backend = Option.value backend ~default:cfg.Engine.backend;
-        optimize = Option.value optimize ~default:cfg.Engine.optimize;
-        profile = Option.value profile ~default:cfg.Engine.profile;
-        strict = Option.value strict ~default:cfg.Engine.strict;
-      }
-    in
-    (* The [Config] combinator form of the overrides above; applied
-       last, so it wins over the individual flags. *)
-    let cfg = match config with None -> cfg | Some f -> f cfg in
+  let create ?(config = Fun.id) ?(labels = []) engine ~client_id =
     {
-      s_engine = { engine with Engine.cfg };
+      s_engine = { engine with Engine.cfg = config (Engine.config engine) };
       s_client = client_id;
       s_labels = labels;
       s_prepares = Atomic.make 0;
@@ -1991,27 +1852,38 @@ module Session = struct
 
   (* Wrap a preparation's run function with the session's accounting:
      wall time and run count flow into the engine's metrics registry
-     under this session's client/tenant labels, and into the session's
-     own counters.  Instrument handles are registered once, here. *)
+     under this session's client/tenant labels and the live tier's
+     backend, and into the session's own counters.  Each tier's
+     instrument handles are registered once, on the first run there
+     (the prepare-time tier's at prepare time), so a promoted handle
+     counts under [native] without a registry lookup per run. *)
   let instrument s (p : 'r prep) : 'r prep =
     let m = Engine.metrics s.s_engine in
-    let labels =
-      ("backend", backend_name p.p_info.backend)
-      :: ("client", s.s_client)
-      :: s.s_labels
+    let register backend =
+      let labels =
+        ("backend", backend_name backend) :: ("client", s.s_client) :: s.s_labels
+      in
+      ( Metrics.histogram m "steno_run_ms"
+          ~help:"Wall time of profiled query runs (milliseconds)" ~labels,
+        Metrics.counter m "steno_runs" ~help:"Profiled query runs" ~labels )
     in
-    let hist =
-      Metrics.histogram m "steno_run_ms"
-        ~help:"Wall time of profiled query runs (milliseconds)" ~labels
+    let handles = Array.make 3 None in
+    let handles_for backend =
+      let i = match backend with Linq -> 0 | Fused -> 1 | Native -> 2 in
+      match handles.(i) with
+      | Some h -> h
+      | None ->
+        let h = register backend in
+        handles.(i) <- Some h;
+        h
     in
-    let runs_c =
-      Metrics.counter m "steno_runs" ~help:"Profiled query runs" ~labels
-    in
+    ignore (handles_for (Atomic.get p.p_tier));
     let base = p.run_fn in
     let run_fn () =
       let t0 = now_ms () in
       let r = base () in
       let dt = now_ms () -. t0 in
+      let hist, runs_c = handles_for (Atomic.get p.p_tier) in
       Metrics.observe hist dt;
       Metrics.inc runs_c;
       Atomic.incr s.s_runs;
@@ -2025,26 +1897,25 @@ module Session = struct
   let annotate_trace s =
     Trace.annotate (Engine.tracer s.s_engine) [ "client", s.s_client ]
 
-  let try_prepare ?backend s q =
-    Atomic.incr s.s_prepares;
-    annotate_trace s;
-    Result.map (instrument s) (Engine.try_prepare ?backend s.s_engine q)
-
-  let try_prepare_scalar ?backend s sq =
+  let try_prepare_as shape ?backend s x =
     Atomic.incr s.s_prepares;
     annotate_trace s;
     Result.map (instrument s)
-      (Engine.try_prepare_scalar ?backend s.s_engine sq)
+      (Engine.try_prepare_as shape ?backend s.s_engine x)
 
-  let prepare ?backend s q =
-    Atomic.incr s.s_prepares;
-    annotate_trace s;
-    instrument s (Engine.prepare ?backend s.s_engine q)
+  let prepare_as shape ?backend s x =
+    match try_prepare_as shape ?backend s x with
+    | Ok p -> p
+    | Error e -> Engine.raise_error e
 
-  let prepare_scalar ?backend s sq =
-    Atomic.incr s.s_prepares;
-    annotate_trace s;
-    instrument s (Engine.prepare_scalar ?backend s.s_engine sq)
+  let try_prepare ?backend s q = try_prepare_as Shape.coll ?backend s q
+
+  let try_prepare_scalar ?backend s sq =
+    try_prepare_as Shape.scalar ?backend s sq
+
+  let prepare ?backend s q = prepare_as Shape.coll ?backend s q
+
+  let prepare_scalar ?backend s sq = prepare_as Shape.scalar ?backend s sq
 
   let to_array ?backend s q = (prepare ?backend s q).run_fn ()
 
@@ -2095,35 +1966,11 @@ let prepare ?backend q = Session.prepare ?backend (default_session ()) q
 let prepare_scalar ?backend sq =
   Session.prepare_scalar ?backend (default_session ()) sq
 
-module Prepared = struct
-  type 'a t = 'a prepared
-
-  let run p = p.run_fn ()
-  let backend_used p = Atomic.get p.p_tier
-  let compile_info p = p.p_info
-  let rewrite_log p = p.p_rules
-  let diagnostics p = p.p_diags
-  let profile p = Option.map profile_snapshot p.p_profile
-  let decisions p = p.p_decisions
-end
-
-module Prepared_scalar = struct
-  type 's t = 's prepared_scalar
-
-  let run p = p.run_fn ()
-  let backend_used p = Atomic.get p.p_tier
-  let compile_info p = p.p_info
-  let rewrite_log p = p.p_rules
-  let diagnostics p = p.p_diags
-  let profile p = Option.map profile_snapshot p.p_profile
-  let decisions p = p.p_decisions
-end
-
 let to_array ?backend q = Prepared.run (prepare ?backend q)
 
 let to_list ?backend q = Array.to_list (to_array ?backend q)
 
-let scalar ?backend sq = Prepared_scalar.run (prepare_scalar ?backend sq)
+let scalar ?backend sq = Prepared.run (prepare_scalar ?backend sq)
 
 let generated_source q = (Codegen.generate (Canon.of_query q)).Codegen.source
 

@@ -74,9 +74,6 @@ type compile_info = {
       (** Set when a [Native] request executed on [Fused]. *)
 }
 
-type 'a prepared
-type 's prepared_scalar
-
 (** {1 Profiles}
 
     With [profile = true] in the engine configuration, every preparation
@@ -119,6 +116,52 @@ exception Check_failed of Check.diagnostic list
 (** Raised by a [strict] engine's prepare when the static checks report
     [Error]-level diagnostics; carries exactly those errors. *)
 
+(** {1 Prepared queries}
+
+    Separate optimization from execution to amortize or measure the
+    one-off compilation cost.  A preparation of a query whose runs
+    return ['r] is an ['r Prepared.t]: ['a array] for a collection
+    query, the aggregate's type for a scalar one. *)
+
+module Prepared : sig
+  type 'r t
+
+  val run : 'r t -> 'r
+  (** Execute.  Reusable: captured inputs are re-read on each run. *)
+
+  val backend_used : 'r t -> backend
+  (** The backend that executes {e now} — after any fallback, and, on a
+      tiered engine, reflecting the live tier: [Fused] until the
+      background promotion lands, [Native] after. *)
+
+  val compile_info : 'r t -> compile_info
+
+  val rewrite_log : 'r t -> string list
+  (** Optimizer rules applied while preparing this query, in order (AST
+      rules first, then QUIL chain rules — the latter only on the
+      Native path, which is the only one that builds the chain).
+      Consecutive firings of one rule are compressed to ["name (xN)"].
+      Empty when the engine was configured with [optimize = false]. *)
+
+  val diagnostics : 'r t -> Check.diagnostic list
+  (** The static-check findings recorded when this query was
+      prepared. *)
+
+  val profile : 'r t -> profile_snapshot option
+  (** Per-operator counts accumulated over this preparation's runs so
+      far; [None] unless the preparing engine had [profile = true]. *)
+
+  val decisions : 'r t -> string list
+  (** What the adaptive phase decided while preparing (predicate
+      reorders, backend downgrades), as display lines; empty without
+      [Config.with_adaptive]. *)
+end
+
+module Prepared_scalar = Prepared
+
+type 'a prepared = 'a array Prepared.t
+type 's prepared_scalar = 's Prepared.t
+
 (** {1 Configuration}
 
     One value describes everything an engine does: start from
@@ -135,20 +178,20 @@ exception Check_failed of Check.diagnostic list
       let engine = Steno.Engine.create cfg
     ]}
 
-    [Config.t] and [Engine.config] are the same record type, so the
-    historical [{ Engine.default_config with backend = ... }] update
-    syntax still works; the combinators are the supported surface and
-    the only one that will grow fields without breaking callers. *)
+    [Engine.config] is an alias of [Config.t], so the historical
+    [{ Engine.default_config with backend = ... }] update syntax still
+    works; the combinators are the supported surface and the only one
+    that will grow fields without breaking callers. *)
 
 module Config : sig
   (** Tiered-execution policy (a JIT for queries): prepare instantly on
       [Fused], count runs, and once a preparation crosses [threshold]
       runs compile [Native] in the background and hot-swap.  See
-      {!Engine.config.tiering}. *)
+      the [tiering] field of {!t}. *)
   type tiering = { threshold : int }
 
   (** Cost-based adaptive optimization policy.  See
-      {!Engine.config.adaptive}. *)
+      the [adaptive] field of {!t}. *)
   type adaptive = {
     drift : float;
         (** Absolute selectivity divergence (observed vs assumed at
@@ -160,100 +203,17 @@ module Config : sig
   }
 
   (** Persistent on-disk plugin store configuration.  See
-      {!Engine.config.disk_cache}. *)
+      the [disk_cache] field of {!t}. *)
   type disk_cache = { dir : string; max_bytes : int; max_entries : int }
 
   (** Request-scoped tracing configuration.  See
-      {!Engine.config.tracing}. *)
+      the [tracing] field of {!t}. *)
   type tracing = { sample : float; ring : int; slow_ms : float option }
 
-  (** The full engine configuration.  The fields are documented on the
-      (equal) {!Engine.config} re-export; prefer building values with
+  (** The full engine configuration.  Prefer building values with
       {!default} and the combinators below, which stay source-compatible
       as fields are added. *)
   type t = {
-    backend : backend;
-    fallback : bool;
-    optimize : bool;
-    compile_timeout_ms : int option;
-    cache_capacity : int;
-    telemetry : Telemetry.sink;
-    profile : bool;
-    metrics : Metrics.t;
-    strict : bool;
-    tiering : tiering option;
-    adaptive : adaptive option;
-    disk_cache : disk_cache option;
-    tracing : tracing option;
-    admin_port : int option;
-  }
-
-  val default : t
-  (** [Native] when a compiler is available ([Fused] otherwise),
-      [fallback = true], [optimize = true], no timeout, capacity 128,
-      null telemetry, [profile = false], the process-wide metrics
-      registry, [strict = false], no tiering, no disk cache. *)
-
-  val with_backend : backend -> t -> t
-  val with_fallback : bool -> t -> t
-  val with_optimize : bool -> t -> t
-  val with_compile_timeout : int option -> t -> t
-  val with_cache_capacity : int -> t -> t
-  val with_telemetry : Telemetry.sink -> t -> t
-  val with_profile : bool -> t -> t
-  val with_metrics : Metrics.t -> t -> t
-  val with_strict : bool -> t -> t
-
-  val with_tiering : ?threshold:int -> t -> t
-  (** Enable tiered execution with the given promotion threshold
-      (default 8 runs; clamped to at least 1). *)
-
-  val without_tiering : t -> t
-
-  val with_adaptive : ?drift:float -> ?fused_below:int -> t -> t
-  (** Enable cost-based adaptive optimization (defaults: [drift = 0.3],
-      [fused_below = 64]).  See {!Engine.config.adaptive}; observations
-      only flow when [profile] is also on. *)
-
-  val without_adaptive : t -> t
-
-  val with_disk_cache :
-    dir:string -> ?max_bytes:int -> ?max_entries:int -> t -> t
-  (** Enable the persistent plugin store rooted at [dir] (e.g.
-      [Pcache.default_dir ()]).  Defaults: 256 MiB, 512 entries. *)
-
-  val without_disk_cache : t -> t
-
-  val with_tracing : ?sample:float -> ?ring:int -> ?slow_ms:float -> t -> t
-  (** Enable request-scoped tracing: [sample] is the traced fraction of
-      root requests (default [1.0], realised deterministically as
-      1-in-k), [ring] the completed-trace ring capacity (default 256),
-      [slow_ms] a latency threshold enabling the slow-query ring.  See
-      {!Engine.config.tracing}. *)
-
-  val without_tracing : t -> t
-
-  val with_admin : port:int -> t -> t
-  (** Ask for the HTTP admin/ops listener on [port] ([0] = an ephemeral
-      port).  The engine itself never opens sockets: the host (e.g.
-      [stenoc serve], or any caller of [Ops.start]) reads this field and
-      starts the listener. *)
-
-  val without_admin : t -> t
-end
-
-(** {1 Engines}
-
-    An engine is the host-side runtime contract made explicit: which
-    backend to use, how many compiled plugins to keep (bounded LRU),
-    what to do when the external compiler fails or stalls, and where
-    pipeline telemetry goes.  Engines are independent — each has its own
-    cache and counters — and safe to share across domains. *)
-
-module Engine : sig
-  type t
-
-  type config = Config.t = {
     backend : backend;  (** Default backend for this engine's queries. *)
     fallback : bool;
         (** When true, a [Native] preparation that cannot compile
@@ -299,7 +259,7 @@ module Engine : sig
         (** Registry receiving the profile flush (and anything else the
             host records); defaults to {!Metrics.default}. *)
     strict : bool;
-        (** When true, {!prepare} and {!prepare_scalar} raise
+        (** When true, {!Engine.prepare} and {!Engine.prepare_scalar} raise
             {!Check_failed} when the static checks report any
             [Error]-level diagnostic (e.g. a provable division by zero,
             or an aggregate over a provably empty source), instead of
@@ -308,7 +268,7 @@ module Engine : sig
             (the default), diagnostics are only recorded
             ({!Prepared.diagnostics}, the [check_diagnostics_total]
             metric family) and never change behaviour. *)
-    tiering : Config.tiering option;
+    tiering : tiering option;
         (** When set, a [Native] preparation on a non-profiling engine
             returns instantly on the [Fused] tier; each preparation
             counts its runs, and the run that reaches
@@ -323,10 +283,10 @@ module Engine : sig
             permanently — tiering never raises at prepare or run time.
             [None] (the default) keeps [Native] preparation
             synchronous. *)
-    adaptive : Config.adaptive option;
+    adaptive : adaptive option;
         (** When set, every preparation runs a cost-based phase after
             the syntactic rewrite fixpoint, fed by the engine's per-plan
-            statistics store ({!cost_store}; populated by profiled runs
+            statistics store ({!Engine.cost_store}; populated by profiled runs
             of the same plan, static priors otherwise):
 
             - pure conjuncts of fused filters are re-sorted
@@ -350,7 +310,7 @@ module Engine : sig
             {!type-analysis} and the [steno_adaptive_total{decision}]
             metric family.  [None] (the default) skips the phase
             entirely. *)
-    disk_cache : Config.disk_cache option;
+    disk_cache : disk_cache option;
         (** When set, compiled plugins are also published to a
             content-addressed on-disk store ([Pcache]) keyed by the
             plugin cache key plus a compiler/ABI fingerprint, and
@@ -362,9 +322,9 @@ module Engine : sig
             corrupt or incompatible entries are dropped and recompiled,
             never surfaced as errors.  [None] (the default) keeps
             compiled code in-process only. *)
-    tracing : Config.tracing option;
+    tracing : tracing option;
         (** When set, the engine carries an enabled {!Trace.t} (see
-            {!tracer}) and tees its telemetry into it, so every pipeline
+            {!Engine.tracer}) and tees its telemetry into it, so every pipeline
             span and counter recorded while a trace context is installed
             (e.g. under [Server.submit]) lands in that request's trace —
             including spans from other domains: background tier
@@ -383,6 +343,73 @@ module Engine : sig
             ephemeral port.  Stored configuration only: [Engine.create]
             opens no sockets. *)
   }
+
+  val default : t
+  (** [Native] when a compiler is available ([Fused] otherwise),
+      [fallback = true], [optimize = true], no timeout, capacity 128,
+      null telemetry, [profile = false], the process-wide metrics
+      registry, [strict = false], no tiering, no disk cache. *)
+
+  val with_backend : backend -> t -> t
+  val with_fallback : bool -> t -> t
+  val with_optimize : bool -> t -> t
+  val with_compile_timeout : int option -> t -> t
+  val with_cache_capacity : int -> t -> t
+  val with_telemetry : Telemetry.sink -> t -> t
+  val with_profile : bool -> t -> t
+  val with_metrics : Metrics.t -> t -> t
+  val with_strict : bool -> t -> t
+
+  val with_tiering : ?threshold:int -> t -> t
+  (** Enable tiered execution with the given promotion threshold
+      (default 8 runs; clamped to at least 1). *)
+
+  val without_tiering : t -> t
+
+  val with_adaptive : ?drift:float -> ?fused_below:int -> t -> t
+  (** Enable cost-based adaptive optimization (defaults: [drift = 0.3],
+      [fused_below = 64]).  See the [adaptive] field of {!t}; observations
+      only flow when [profile] is also on. *)
+
+  val without_adaptive : t -> t
+
+  val with_disk_cache :
+    dir:string -> ?max_bytes:int -> ?max_entries:int -> t -> t
+  (** Enable the persistent plugin store rooted at [dir] (e.g.
+      [Pcache.default_dir ()]).  Defaults: 256 MiB, 512 entries. *)
+
+  val without_disk_cache : t -> t
+
+  val with_tracing : ?sample:float -> ?ring:int -> ?slow_ms:float -> t -> t
+  (** Enable request-scoped tracing: [sample] is the traced fraction of
+      root requests (default [1.0], realised deterministically as
+      1-in-k), [ring] the completed-trace ring capacity (default 256),
+      [slow_ms] a latency threshold enabling the slow-query ring.  See
+      the [tracing] field of {!t}. *)
+
+  val without_tracing : t -> t
+
+  val with_admin : port:int -> t -> t
+  (** Ask for the HTTP admin/ops listener on [port] ([0] = an ephemeral
+      port).  The engine itself never opens sockets: the host (e.g.
+      [stenoc serve], or any caller of [Ops.start]) reads this field and
+      starts the listener. *)
+
+  val without_admin : t -> t
+end
+
+(** {1 Engines}
+
+    An engine is the host-side runtime contract made explicit: which
+    backend to use, how many compiled plugins to keep (bounded LRU),
+    what to do when the external compiler fails or stalls, and where
+    pipeline telemetry goes.  Engines are independent — each has its own
+    cache and counters — and safe to share across domains. *)
+
+module Engine : sig
+  type t
+
+  type config = Config.t
 
   val default_config : config
   (** Alias of {!Config.default}. *)
@@ -495,9 +522,12 @@ module Engine : sig
   (** {2 Explain}
 
       What the optimizer would do to a query under this engine's
-      configuration, without preparing or running it.  With
-      [optimize = false] the before and after plans are identical and
-      [rules] is empty. *)
+      configuration, without compiling or running it: the same lint and
+      translation-validated rewrite passes {!prepare} runs, so a rewrite
+      the validator rejects is reported as an [SC012] diagnostic with
+      the plan left as written.  Explaining never refuses, even on a
+      [strict] engine, and records no spans or metrics.  With [optimize = false]
+      the before and after plans are identical and [rules] is empty. *)
 
   type explanation = {
     quil_before : string;  (** QUIL sentence of the plan as written. *)
@@ -516,7 +546,8 @@ module Engine : sig
             {!Check.Flow} record (cardinality interval, distinctness,
             sortedness, emptiness, purity). *)
     diagnostics : Check.diagnostic list;
-        (** Static-check findings for the query as written. *)
+        (** Rejected-rewrite ([SC012]) findings, then the static-check
+            findings for the query as written. *)
   }
 
   val explain : t -> 'a Query.t -> explanation
@@ -592,7 +623,8 @@ end
       let engine = Steno.Engine.create Steno.Engine.default_config in
       let alice = Steno.Session.create engine ~client_id:"alice" in
       let bob =
-        Steno.Session.create engine ~client_id:"bob" ~strict:true
+        Steno.Session.create engine ~client_id:"bob"
+          ~config:Steno.Config.(with_strict true)
           ~labels:[ "tier", "free" ]
       in
       let xs = Steno.Session.to_array alice q in
@@ -601,7 +633,8 @@ end
 
     Runs through a session are timed into the engine's metrics registry
     ([steno_run_ms], [steno_runs_total]) labelled with the session's
-    [client_id] and extra labels, so one OpenMetrics scrape breaks load
+    [client_id] and extra labels and the [backend] the run executed on
+    (a tiered handle's live tier), so one OpenMetrics scrape breaks load
     down by tenant.  A session handle is domain-safe: its counters are
     atomic and everything it touches on the engine already is. *)
 
@@ -609,10 +642,6 @@ module Session : sig
   type t
 
   val create :
-    ?backend:backend ->
-    ?optimize:bool ->
-    ?profile:bool ->
-    ?strict:bool ->
     ?config:(Config.t -> Config.t) ->
     ?labels:(string * string) list ->
     Engine.t ->
@@ -628,12 +657,7 @@ module Session : sig
       [profile] is safe on a shared cache: both flags are part of the
       plugin cache key, so sessions never alias each other's compiled
       code.  [labels] are extra metric labels (e.g. tenant tier)
-      attached alongside [client_id].
-
-      The [?backend]/[?optimize]/[?profile]/[?strict] flags are the
-      pre-[Config] spelling of the same overrides, kept as a shim;
-      [config] is applied after them and wins on conflict.
-      @deprecated the individual flags — use [config]. *)
+      attached alongside [client_id]. *)
 
   val engine : t -> Engine.t
   (** The session's view of its engine — configuration overrides
@@ -704,63 +728,8 @@ val to_array : ?backend:backend -> 'a Query.t -> 'a array
 val to_list : ?backend:backend -> 'a Query.t -> 'a list
 val scalar : ?backend:backend -> 's Query.sq -> 's
 
-(** {1 Prepared queries}
-
-    Separate optimization from execution to amortize or measure the
-    one-off compilation cost.  [prepare] returns an abstract handle;
-    interrogate it through {!Prepared} (and scalar preparations through
-    {!Prepared_scalar}). *)
-
 val prepare : ?backend:backend -> 'a Query.t -> 'a prepared
 val prepare_scalar : ?backend:backend -> 's Query.sq -> 's prepared_scalar
-
-(** Accessors on a prepared collection query. *)
-module Prepared : sig
-  type 'a t = 'a prepared
-
-  val run : 'a t -> 'a array
-  (** Execute.  Reusable: captured inputs are re-read on each run. *)
-
-  val backend_used : 'a t -> backend
-  (** The backend that executes {e now} — after any fallback, and, on a
-      tiered engine, reflecting the live tier: [Fused] until the
-      background promotion lands, [Native] after. *)
-
-  val compile_info : 'a t -> compile_info
-
-  val rewrite_log : 'a t -> string list
-  (** Optimizer rules applied while preparing this query, in order (AST
-      rules first, then QUIL chain rules — the latter only on the
-      Native path, which is the only one that builds the chain).
-      Consecutive firings of one rule are compressed to ["name (xN)"].
-      Empty when the engine was configured with [optimize = false]. *)
-
-  val diagnostics : 'a t -> Check.diagnostic list
-  (** The static-check findings recorded when this query was
-      prepared. *)
-
-  val profile : 'a t -> profile_snapshot option
-  (** Per-operator counts accumulated over this preparation's runs so
-      far; [None] unless the preparing engine had [profile = true]. *)
-
-  val decisions : 'a t -> string list
-  (** What the adaptive phase decided while preparing (predicate
-      reorders, backend downgrades), as display lines; empty without
-      [Config.with_adaptive]. *)
-end
-
-(** Accessors on a prepared scalar query. *)
-module Prepared_scalar : sig
-  type 's t = 's prepared_scalar
-
-  val run : 's t -> 's
-  val backend_used : 's t -> backend
-  val compile_info : 's t -> compile_info
-  val rewrite_log : 's t -> string list
-  val diagnostics : 's t -> Check.diagnostic list
-  val profile : 's t -> profile_snapshot option
-  val decisions : 's t -> string list
-end
 
 (** {1 Inspection} *)
 

@@ -272,14 +272,14 @@ let test_config_builders () =
     Steno.Engine.(create { default_config with backend = Steno.Linq })
   in
   Alcotest.(check bool) "record update works" true
-    ((Steno.Engine.config eng).Steno.Engine.backend = Steno.Linq);
+    ((Steno.Engine.config eng).Steno.Config.backend = Steno.Linq);
   (* Session ?config transformer wins over the engine's flags. *)
   let s =
     Steno.Session.create eng ~client_id:"c"
       ~config:Steno.Config.(with_backend Steno.Fused)
   in
   Alcotest.(check bool) "session config override" true
-    ((Steno.Engine.config (Steno.Session.engine s)).Steno.Engine.backend
+    ((Steno.Engine.config (Steno.Session.engine s)).Steno.Config.backend
     = Steno.Fused)
 
 (* {2 Engine integration (need the native toolchain)} *)
@@ -443,6 +443,42 @@ let test_tier_promotion_concurrent () =
       (compiles_ok reg)
   end
 
+(* Session run metrics follow the live tier: after the promotion lands,
+   runs count under backend="native", not under the prepare-time
+   "fused". *)
+let test_session_runs_follow_tier () =
+  if skip_without_native () then ()
+  else begin
+    let reg = Metrics.create () in
+    let s =
+      Steno.Session.create (native_engine ~tiering:1 reg) ~client_id:"c"
+    in
+    let p = Steno.Session.prepare_scalar s (shared_query ()) in
+    ignore (Steno.Prepared.run p);
+    let deadline = Unix.gettimeofday () +. 30.0 in
+    while
+      Steno.Prepared.backend_used p <> Steno.Native
+      && Unix.gettimeofday () < deadline
+    do
+      Unix.sleepf 0.01
+    done;
+    Alcotest.(check bool) "promoted to native" true
+      (Steno.Prepared.backend_used p = Steno.Native);
+    for _ = 1 to 5 do
+      ignore (Steno.Prepared.run p)
+    done;
+    let runs backend =
+      Metrics.counter_value
+        (Metrics.counter reg "steno_runs"
+           ~labels:[ "backend", backend; "client", "c" ])
+    in
+    (* The first run may straddle the swap; the five after it cannot. *)
+    Alcotest.(check bool) "post-promotion runs counted as native" true
+      (runs "native" >= 5);
+    Alcotest.(check int) "every run counted once" 6
+      (runs "native" + runs "fused")
+  end
+
 let test_tiering_without_compiler_stays_fused () =
   (* With the compiler gated off, promotion fails in the background and
      the preparation keeps serving Fused — never an exception. *)
@@ -513,6 +549,8 @@ let () =
         [
           Alcotest.test_case "concurrent promotion" `Quick
             test_tier_promotion_concurrent;
+          Alcotest.test_case "session runs follow the tier" `Quick
+            test_session_runs_follow_tier;
           Alcotest.test_case "no compiler: stays fused" `Quick
             test_tiering_without_compiler_stays_fused;
         ] );

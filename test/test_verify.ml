@@ -107,6 +107,34 @@ let test_sound_rewrites_accepted () =
   Alcotest.(check bool) "where-fuse among them" true
     (List.exists (fun o -> o.Check.Equiv.o_rule = "where-fuse") obs)
 
+(* Explain takes its plan from the same validated front half as
+   prepare: the rejected rewrite shows up as SC012 with the plan as
+   written, for both query shapes, and a strict engine explains rather
+   than refuses. *)
+let test_unsound_rewrite_explained () =
+  let q = ints data |> Query.where even in
+  let agrees name (ex : Steno.Engine.explanation) rewrite_log =
+    Alcotest.(check (list string)) (name ^ ": no rules") [] ex.rules;
+    Alcotest.(check (list string))
+      (name ^ ": same log as prepare") rewrite_log ex.rules;
+    Alcotest.(check string)
+      (name ^ ": plan as written") ex.quil_before ex.quil_after;
+    Alcotest.(check bool)
+      (name ^ ": SC012 reported") true
+      (List.mem "SC012" (codes ex.diagnostics))
+  in
+  with_hook (fun () ->
+      let eng = engine Steno.Fused in
+      agrees "collection" (Steno.Engine.explain eng q)
+        (Steno.Prepared.rewrite_log (Steno.Engine.prepare eng q));
+      let sq = Query.count q in
+      agrees "scalar"
+        (Steno.Engine.explain_scalar eng sq)
+        (Steno.Prepared.rewrite_log (Steno.Engine.prepare_scalar eng sq));
+      agrees "strict"
+        (Steno.Engine.explain (engine ~strict:true Steno.Fused) q)
+        [])
+
 (* Sabotaged side conditions: with every law rewritten to fail, sound
    plans are rejected — the engine really consults the table. *)
 let test_broken_law_table_rejects () =
@@ -190,9 +218,16 @@ let build (ops, src) = List.fold_left (fun q op -> op q) src ops
 
 let interpreted = [ Steno.Linq; Steno.Fused ]
 
-(* Every generated pipeline must (a) discharge all its obligations and
+(* A non-tiered Native engine without adaptive: the one configuration
+   whose rewrite log holds every pass explain reports (the chain pass
+   runs only on the Native path). *)
+let native_engine = engine Steno.Native
+
+(* Every generated pipeline must (a) discharge all its obligations,
    (b) compute the Reference answer on every backend with the optimizer
-   on.  Interpreted backends take the full 200 cases... *)
+   on, and (c) explain the rules its Native preparation applies, for
+   the collection query and a count over it.  Interpreted backends take
+   the full 200 cases... *)
 let random_validated_differential =
   QCheck.Test.make
     ~name:"validated pipelines match reference (linq, fused)" ~count:200
@@ -200,11 +235,17 @@ let random_validated_differential =
       let q = build input in
       let eng0 = engine Steno.Fused in
       let obs = Steno.Engine.verify eng0 q in
+      let sq = Query.count q in
       Check.Equiv.accepted obs
       && List.for_all
            (fun b ->
              Steno.Engine.to_list (engine b) q = Reference.to_list q)
-           interpreted)
+           interpreted
+      && (Steno.Engine.explain native_engine q).Steno.Engine.rules
+         = Steno.Prepared.rewrite_log (Steno.Engine.prepare native_engine q)
+      && (Steno.Engine.explain_scalar native_engine sq).Steno.Engine.rules
+         = Steno.Prepared.rewrite_log
+             (Steno.Engine.prepare_scalar native_engine sq))
 
 (* ...while the Native backend, paying a real compile per case, checks a
    thinner slice of the same generator. *)
@@ -239,6 +280,8 @@ let () =
             test_unsound_rewrite_rejected;
           Alcotest.test_case "strict raises" `Quick
             test_unsound_rewrite_strict_raises;
+          Alcotest.test_case "explain reports the rejection" `Quick
+            test_unsound_rewrite_explained;
           Alcotest.test_case "sound rewrites accepted" `Quick
             test_sound_rewrites_accepted;
           Alcotest.test_case "broken law table" `Quick

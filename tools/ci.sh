@@ -9,6 +9,9 @@ cd "$(dirname "$0")/.."
 echo "== dune build =="
 dune build @all
 
+echo "== lib/steno line count =="
+wc -l lib/steno/*.ml*
+
 echo "== dune runtest =="
 dune runtest
 
@@ -24,6 +27,10 @@ dune exec examples/wordcount.exe -- 20000 > /dev/null
 
 echo "== stenoc analyze (annotated plans, all backends) =="
 dune exec bin/stenoc.exe -- analyze redundant -n 2000 > /dev/null
+
+echo "== stenoc explain / analyze on a scalar query (the shared prepare path) =="
+dune exec bin/stenoc.exe -- explain sumsq > /dev/null
+dune exec bin/stenoc.exe -- analyze sumsq -n 2000 > /dev/null
 
 echo "== stenoc lint (static checks over the demo gallery) =="
 dune exec bin/stenoc.exe -- lint --all -n 2000
